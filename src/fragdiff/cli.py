@@ -25,10 +25,10 @@ from .checks import (WeightSpec, birth_domination, check_gain_smallness,
                      check_interpolation, check_kato, default_catalog,
                      kernel_positivity_samples)
 from .coefficients import delta_m
-from .config import (RunConfig, build_bundle, build_initial, parse_config,
-                     parse_n_sequence, preset_config)
+from .config import (RunConfig, build_bundle, build_initial, build_integrator,
+                     build_n_sequence, parse_config, preset_config)
 from .errors import ConfigError, NumericsError, PropertyViolation
-from .evolution import IntegratorConfig, evolve
+from .evolution import evolve
 from .mesh import State, mass
 from .spectral import decay_rate, dominant_eigenpair, spectral_gap
 from .stationary import solve_steady, solve_steady_regularized
@@ -109,18 +109,14 @@ def _run_meta(cfg: RunConfig, bundle) -> dict:
 
 def _task_evolve(cfg: RunConfig, bundle, out: Path, diag: _Diagnostics) -> None:
     initial = build_initial(cfg, bundle)
-    tm = cfg["time"]
     reference = None
     try:
         steady = solve_steady(bundle, normalize_mass=1.0)
         reference = steady.state.copy_with(steady.state.values * mass(initial))
     except (NumericsError, PropertyViolation):
         diag.add("reference", available=False)
-    integrator = IntegratorConfig(scheme=tm["scheme"], dt=tm.get("dt"),
-                                  t_end=tm["t_end"], output_every=tm["output_every"],
-                                  moment_order=tm["moment_order"])
-    trajectory = evolve(bundle, initial, integrator, reference=reference)
-    _write_moments_csv(out / "moments.csv", trajectory, tm["output_every"])
+    trajectory = evolve(bundle, initial, build_integrator(cfg), reference=reference)
+    _write_moments_csv(out / "moments.csv", trajectory, cfg["time"]["output_every"])
     _write_profile_csv(out / "profile.csv", trajectory.final)
     diag.add("evolve", steps=int(trajectory.times.size - 1),
              max_mass_drift=trajectory.max_drift,
@@ -141,8 +137,7 @@ def _task_steady(cfg: RunConfig, bundle, out: Path, diag: _Diagnostics) -> None:
 
 
 def _task_regularized(cfg: RunConfig, bundle, out: Path, diag: _Diagnostics) -> None:
-    seq = parse_n_sequence(cfg["regularized"]["n_sequence"])
-    result = solve_steady_regularized(bundle, seq)
+    result = solve_steady_regularized(bundle, build_n_sequence(cfg))
     _write_profile_csv(out / "profile.csv", result.limit)
     diag.add("steady_regularized", n_values=list(result.n_values),
              pairwise_x1=result.pairwise_x1, pairwise_xm=result.pairwise_xm,
@@ -153,10 +148,8 @@ def _task_regularized(cfg: RunConfig, bundle, out: Path, diag: _Diagnostics) -> 
 
 
 def _task_spectrum(cfg: RunConfig, bundle, out: Path, diag: _Diagnostics) -> None:
-    if float(bundle.rate.tail_infimum(1e-6, bundle.mesh.x_max)) <= 0.0:
-        raise PropertyViolation("spectrum task requires a strictly positive rate")
-    lam, psi = dominant_eigenpair(bundle)
     gap = spectral_gap(bundle, k=cfg["spectrum"]["k"])
+    lam, psi = dominant_eigenpair(bundle)
     _write_profile_csv(out / "profile.csv", psi)
     diag.add("spectrum", lambda0=lam, gap=gap, k=cfg["spectrum"]["k"])
 
@@ -222,11 +215,12 @@ def main(argv=None) -> int:
         if (args.config is None) == (args.preset is None):
             raise ConfigError("provide exactly one of --config or --preset")
         cfg = parse_config(args.config) if args.config else preset_config(args.preset)
-        if args.task is not None:
-            if args.task not in _TASKS:
-                raise ConfigError(f"unknown task {args.task!r}")
-            cfg.sections["run"]["task"] = args.task
-        task = cfg["run"]["task"]
+        task = cfg["run"]["task"] if args.task is None else args.task
+        if task not in _TASKS:
+            message = f"task must be one of {sorted(_TASKS)}, got {task!r}"
+            raise cfg.error(message) if args.task is None else \
+                ConfigError(f"--task: {message}")
+        cfg.sections["run"]["task"] = task
         root = args.out or Path(os.environ.get("FRAGDIFF_OUT_ROOT", ".")) / "fragdiff-run"
         out = Path(root)
         out.mkdir(parents=True, exist_ok=True)
@@ -254,3 +248,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -110,7 +110,7 @@ class ConstantRate(RateModel):
 
     def __post_init__(self):
         if self.value <= 0:
-            raise ConfigError("constant rate must be positive")
+            raise ConfigError(f"value must be positive for a constant rate, got {self.value}")
 
     def __call__(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.value)
@@ -133,7 +133,7 @@ class PowerRate(RateModel):
 
     def __post_init__(self):
         if self.gamma < 0:
-            raise ConfigError("power-law exponent must be >= 0 (local boundedness)")
+            raise ConfigError(f"gamma must be >= 0 (local boundedness), got {self.gamma}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -162,8 +162,9 @@ class ShiftedPowerRate(RateModel):
     gamma: float
 
     def __post_init__(self):
-        if self.offset <= 0 or self.gamma < 0:
-            raise ConfigError("shifted power rate needs c > 0 and gamma >= 0")
+        if self.offset <= 0:
+            raise ConfigError(f"offset must be positive, got {self.offset}")
+        PowerRate(self.gamma)   # the x^gamma part holds the rule on gamma
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -220,7 +221,7 @@ class RegularizedRate(RateModel):
 
     def __post_init__(self):
         if self.n < 1:
-            raise ConfigError("regularization index must be >= 1")
+            raise ConfigError(f"n must be >= 1 for the lift x/n, got {self.n}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -322,8 +323,7 @@ class CustomKernel(DaughterKernel):
     y_check: tuple = (0.01, 0.1, 1.0, 10.0, 100.0)
 
     def __post_init__(self):
-        report = verify_mass_condition(self, self.y_check, tol=self.mass_tol,
-                                       _skip_admission=True)
+        report = verify_mass_condition(self, self.y_check, tol=self.mass_tol)
         if not report.passed:
             raise PropertyViolation(
                 f"kernel {self.name!r} violates the mass condition: defect "
@@ -359,13 +359,13 @@ class MassConditionReport:
     defects: np.ndarray = field(repr=False, default=None)
 
 
-def verify_mass_condition(kernel: DaughterKernel, y_samples, tol: float = 1e-10,
-                          _skip_admission: bool = False) -> MassConditionReport:
+def verify_mass_condition(kernel: DaughterKernel, y_samples,
+                          tol: float = 1e-10) -> MassConditionReport:
     """Relative defect |int x b dx - y| / y over donor samples."""
     ys = np.asarray(y_samples, dtype=float)
     if np.any(ys <= 0):
         raise ConfigError("donor samples must be positive")
-    if isinstance(kernel, CustomKernel) or _skip_admission:
+    if isinstance(kernel, CustomKernel):
         masses = np.array([_gauss_on(0.0, float(y), lambda x: x * kernel.density(x, float(y)))
                            for y in ys])
         tol = max(tol, 1e-8)

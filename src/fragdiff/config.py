@@ -5,91 +5,78 @@ and '#' comments.  Unknown sections or keys are hard errors anchored to
 their line.  A `preset` key in [run] starts from a named scenario; any
 key given explicitly afterwards overrides the preset value.
 
-Schema (defaults in parentheses):
-
-    [run]          preset?, task (evolve), seed (0)
-    [domain]       x_max (40.0), cells (2048), grading (uniform),
-                   ratio?, right_bc (noflux)
-    [coefficients] rate (constant), rate_value (1.0), rate_gamma (1.0),
-                   rate_offset (1.0), regularize_n?, kernel (powerlaw),
-                   kernel_nu (0.0), diffusion (1.0)
-    [time]         scheme (imex_euler), dt?, t_end (10.0), output_every (100),
-                   moment_order (3.0)
-    [initial]      kind (exponential), scale (1.0), center (4.0),
-                   width (1.0), mass (1.0)
-    [steady]       mass (1.0)
-    [regularized]  n_sequence (4,16,64,256)
-    [spectrum]     k (8)
+Every value is checked at parse time, by building the cheap objects a run
+uses (mesh, diffusion, rate, kernel, integrator, initial shape, n-sequence
+and eigenvalue count): the constructor that consumes a value states its
+rule.  Errors read `<file>:<line>: [section] <message>`, at the offending
+key, or at its section header when a preset or default gave the value.
+Numbers must be finite, and an explicit dt must divide t_end.  `_SCHEMA`
+gives each key's type and default; `[run] task`, `[domain] x_max` and
+`[domain] cells` are required.  The CLI checks the task name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import re
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import stationary
 from .coefficients import (ConstantRate, DaughterKernel, PowerLawKernel,
                            PowerRate, RateModel, RegularizedRate,
                            ShiftedPowerRate)
 from .errors import ConfigError
+from .evolution import IntegratorConfig
 from .mesh import Mesh, State, build_mesh, moment_of
-from .operators import OperatorBundle, assemble_bundle
+from .operators import OperatorBundle, assemble_bundle, assemble_diffusion
+from .spectral import require_modes
 
-TASKS = ("evolve", "steady", "steady_regularized", "spectrum", "checks")
-
+# section -> key -> (type, default); default None means the key is optional
 _SCHEMA = {
-    "run": {"preset": str, "task": str, "seed": int},
-    "domain": {"x_max": float, "cells": int, "grading": str, "ratio": float,
-               "right_bc": str},
-    "coefficients": {"rate": str, "rate_value": float, "rate_gamma": float,
-                     "rate_offset": float, "regularize_n": int,
-                     "kernel": str, "kernel_nu": float, "diffusion": float},
-    "time": {"scheme": str, "dt": float, "t_end": float, "output_every": int,
-             "moment_order": float},
-    "initial": {"kind": str, "scale": float, "center": float, "width": float,
-                "mass": float},
-    "steady": {"mass": float},
-    "regularized": {"n_sequence": str},
-    "spectrum": {"k": int},
-}
-
-_DEFAULTS = {
-    "run": {"seed": 0},
-    "domain": {"grading": "uniform", "right_bc": "noflux"},
-    "coefficients": {"rate": "constant", "rate_value": 1.0, "rate_gamma": 1.0,
-                     "rate_offset": 1.0, "kernel": "powerlaw", "kernel_nu": 0.0,
-                     "diffusion": 1.0},
-    "time": {"scheme": "imex_euler", "t_end": 10.0, "output_every": 100,
-             "moment_order": 3.0},
-    "initial": {"kind": "exponential", "scale": 1.0, "center": 4.0,
-                "width": 1.0, "mass": 1.0},
-    "steady": {"mass": 1.0},
-    "regularized": {"n_sequence": "4,16,64,256"},
-    "spectrum": {"k": 8},
+    "run": {"preset": (str, None), "task": (str, None), "seed": (int, 0)},
+    "domain": {"x_max": (float, None), "cells": (int, None),
+               "grading": (str, "uniform"), "ratio": (float, None),
+               "right_bc": (str, "noflux")},
+    "coefficients": {"rate": (str, "constant"), "rate_value": (float, 1.0),
+                     "rate_gamma": (float, 1.0), "rate_offset": (float, 1.0),
+                     "regularize_n": (int, None), "kernel": (str, "powerlaw"),
+                     "kernel_nu": (float, 0.0), "diffusion": (float, 1.0)},
+    "time": {"scheme": (str, "imex_euler"), "dt": (float, None),
+             "t_end": (float, 10.0), "output_every": (int, 100),
+             "moment_order": (float, 3.0)},
+    "initial": {"kind": (str, "exponential"), "scale": (float, 1.0),
+                "center": (float, 4.0), "width": (float, 1.0), "mass": (float, 1.0)},
+    "steady": {"mass": (float, 1.0)},
+    "regularized": {"n_sequence": (str, "4,16,64,256")},
+    "spectrum": {"k": (int, 8)},
 }
 
 _REQUIRED = (("run", "task"), ("domain", "x_max"), ("domain", "cells"))
 
+# Constructor parameters whose config key has another name.
+_KEY_OF = {"n_cells": "cells", "value": "rate_value", "gamma": "rate_gamma",
+           "offset": "rate_offset", "n": "regularize_n", "nu": "kernel_nu",
+           "diffusion_rate": "diffusion"}
+
+# Presets give what differs from the _SCHEMA defaults (exponential initial
+# profile of scale and mass 1, binary kernel b = 2/y, rate constant 1).
 PRESETS = {
     # binary breakup at constant rate: the scenario with the closed-form
     # equilibrium x exp(-x) / 2
     "mitosis": {
         "run": {"task": "evolve"},
         "domain": {"x_max": 40.0, "cells": 2048},
-        "coefficients": {"rate": "constant", "rate_value": 1.0,
-                         "kernel": "powerlaw", "kernel_nu": 0.0},
-        "time": {"dt": 1e-3, "t_end": 10.0, "output_every": 100},
-        "initial": {"kind": "exponential", "scale": 1.0, "mass": 1.0},
+        "time": {"dt": 1e-3},
     },
-    # size-proportional breakup rate: growing rate, spectral-gap regime
+    # size-proportional breakup rate a(x) = x: spectral-gap regime
     "linear-rate": {
         "run": {"task": "evolve"},
         "domain": {"x_max": 40.0, "cells": 1024},
-        "coefficients": {"rate": "power", "rate_gamma": 1.0,
-                         "kernel": "powerlaw", "kernel_nu": 0.0},
+        "coefficients": {"rate": "power", "rate_gamma": 1.0},
         "time": {"dt": 0.01, "t_end": 40.0, "output_every": 50},
-        "initial": {"kind": "exponential", "scale": 1.0, "mass": 1.0},
     },
 }
 
@@ -98,6 +85,7 @@ PRESETS = {
 class RunConfig:
     sections: dict
     source: str = "<memory>"
+    lines: dict = field(default_factory=dict)   # section or (section, key) -> line
 
     def __getitem__(self, section: str) -> dict:
         return self.sections[section]
@@ -105,135 +93,85 @@ class RunConfig:
     def echo(self) -> dict:
         return {s: dict(v) for s, v in self.sections.items()}
 
+    def error(self, message: str) -> ConfigError:
+        """`message` anchored as the module docstring says, to the first key it names."""
+        keys = [_KEY_OF.get(word, word) for word in re.findall(r"\w+", message)]
+        named = [(sec, key) for key in keys for sec in _SCHEMA if key in _SCHEMA[sec]]
+        if not named:
+            return ConfigError(f"{self.source}: {message}")
+        sec, key = next((hit for hit in named if hit in self.lines), named[0])
+        line = self.lines.get((sec, key), self.lines.get(sec))
+        where = self.source if line is None else f"{self.source}:{line}"
+        return ConfigError(f"{where}: [{sec}] {message}")
 
-def _parse_sections(text: str, source: str) -> dict:
-    """Raw [section]/key=value parsing with line tracking."""
+
+def _parse_sections(text: str, source: str) -> tuple[dict, dict]:
+    """Parse [section]/key=value text into typed values and their line numbers."""
     sections: dict = {}
+    lines: dict = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        where = f"{source}:{lineno}"
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
             if current not in _SCHEMA:
-                raise ConfigError(f"{source}:{lineno}: unknown section [{current}]")
+                raise ConfigError(f"{where}: unknown section [{current}]")
             sections.setdefault(current, {})
+            lines.setdefault(current, lineno)
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {raw!r}")
         if current is None:
-            raise ConfigError(f"{source}:{lineno}: key outside any [section]")
+            raise ConfigError(f"{where}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower()
         if key not in _SCHEMA[current]:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in [{current}]")
+            raise ConfigError(f"{where}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        sections[current][key] = (value, lineno)
-    return sections
-
-
-def _convert(section: str, key: str, raw: str, lineno: int, source: str):
-    target = _SCHEMA[section][key]
-    try:
-        if target is int:
-            return int(raw)
-        if target is float:
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(
-            f"{source}:{lineno}: key {key!r} expects {target.__name__}, got {raw!r}"
-        ) from exc
-
-
-def _merged_defaults(preset: str | None, source: str) -> dict:
-    merged = {s: dict(v) for s, v in _DEFAULTS.items()}
-    if preset is not None:
-        if preset not in PRESETS:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        target = _SCHEMA[current][key][0]
+        try:
+            sections[current][key] = target(value)
+        except ValueError as exc:
             raise ConfigError(
-                f"{source}: unknown preset {preset!r}; available: {sorted(PRESETS)}")
-        for sec, kv in PRESETS[preset].items():
-            merged.setdefault(sec, {}).update(kv)
-    return merged
-
-
-def _validate(cfg: RunConfig) -> None:
-    run = cfg["run"]
-    if run["task"] not in TASKS:
-        raise ConfigError(f"unknown task {run['task']!r}; expected one of {TASKS}")
-    dom = cfg["domain"]
-    if dom["x_max"] <= 0:
-        raise ConfigError("domain x_max must be positive")
-    if dom["cells"] < 8:
-        raise ConfigError("domain needs at least 8 cells")
-    if dom["grading"] not in ("uniform", "geometric"):
-        raise ConfigError(f"unknown grading {dom['grading']!r}")
-    if dom["grading"] == "geometric":
-        ratio = dom.get("ratio")
-        if ratio is None or not (1.0 < ratio <= 1.2):
-            raise ConfigError("geometric grading needs ratio in (1, 1.2]")
-    if dom["right_bc"] not in ("noflux", "dirichlet"):
-        raise ConfigError(f"unknown right boundary {dom['right_bc']!r}")
-    co = cfg["coefficients"]
-    if co["rate"] not in ("constant", "power", "shifted_power"):
-        raise ConfigError(f"unknown rate kind {co['rate']!r}")
-    if co["rate"] in ("power", "shifted_power") and co["rate_gamma"] < 0:
-        raise ConfigError("rate exponent gamma must be >= 0")
-    if co["rate"] == "constant" and co["rate_value"] <= 0:
-        raise ConfigError("constant rate must be positive")
-    if co["kernel"] != "powerlaw":
-        raise ConfigError("config files support the powerlaw kernel family only")
-    if not (-2.0 < co["kernel_nu"] <= 0.0):
-        raise ConfigError("kernel exponent nu must lie in (-2, 0]")
-    if co["diffusion"] <= 0:
-        raise ConfigError("diffusion coefficient must be positive")
-    tm = cfg["time"]
-    if tm["scheme"] not in ("imex_euler", "crank_nicolson_imex", "fully_implicit"):
-        raise ConfigError(f"unknown scheme {tm['scheme']!r}")
-    if "dt" in tm and tm["dt"] <= 0:
-        raise ConfigError("dt must be positive")
-    if tm["t_end"] <= 0 or tm["output_every"] < 1:
-        raise ConfigError("time section needs t_end > 0 and output_every >= 1")
-    ini = cfg["initial"]
-    if ini["kind"] not in ("exponential", "gaussian_bump", "equilibrium", "zero"):
-        raise ConfigError(f"unknown initial kind {ini['kind']!r}")
-    if ini["mass"] < 0 or ini["scale"] <= 0 or ini["width"] <= 0:
-        raise ConfigError("initial profile needs mass >= 0, scale > 0, width > 0")
-    try:
-        parse_n_sequence(cfg["regularized"]["n_sequence"])
-    except ValueError as exc:
-        raise ConfigError(f"bad n_sequence: {exc}") from exc
-    if cfg["spectrum"]["k"] < 1:
-        raise ConfigError("spectrum k must be >= 1")
-
-
-def parse_n_sequence(raw: str) -> tuple:
-    values = tuple(int(tok) for tok in raw.replace(" ", "").split(",") if tok)
-    if len(values) < 2 or any(v < 1 for v in values) or any(
-            b <= a for a, b in zip(values, values[1:])):
-        raise ValueError("expected increasing positive integers")
-    return values
+                f"{where}: key {key!r} expects {target.__name__}, got {value!r}") from exc
+        if target is float and not math.isfinite(sections[current][key]):
+            raise ConfigError(f"{where}: [{current}] {key} must be finite, got {value!r}")
+        lines[current, key] = lineno
+    return sections, lines
 
 
 def parse_config_text(text: str, source: str = "<memory>") -> RunConfig:
-    raw = _parse_sections(text, source)
-    preset = None
-    if "run" in raw and "preset" in raw["run"]:
-        preset = raw["run"]["preset"][0]
-    merged = _merged_defaults(preset, source)
+    raw, lines = _parse_sections(text, source)
+    merged = {sec: {key: default for key, (_, default) in keys.items() if default is not None}
+              for sec, keys in _SCHEMA.items()}
+    preset = raw.get("run", {}).get("preset")
+    if preset is not None:
+        if preset not in PRESETS:
+            raise ConfigError(f"{source}:{lines['run', 'preset']}: [run] unknown preset "
+                              f"{preset!r}; available: {sorted(PRESETS)}")
+        for sec, kv in PRESETS[preset].items():
+            merged[sec].update(kv)
     for sec, kv in raw.items():
-        for key, (value, lineno) in kv.items():
-            if key == "preset":
-                merged["run"]["preset"] = value
-                continue
-            merged[sec][key] = _convert(sec, key, value, lineno, source)
+        merged[sec].update(kv)
     missing = [f"[{sec}] {key}" for sec, key in _REQUIRED if key not in merged[sec]]
     if missing:
         raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}")
-    cfg = RunConfig(sections=merged, source=source)
-    _validate(cfg)
+    cfg = RunConfig(sections=merged, source=source, lines=lines)
+    try:    # the cheap objects of a run: their constructors check every value
+        mesh = build_domain(cfg)
+        assemble_diffusion(mesh, cfg["domain"]["right_bc"], cfg["coefficients"]["diffusion"])
+        build_rate(cfg)
+        build_kernel(cfg)
+        build_integrator(cfg)
+        _initial_shape(cfg["initial"])
+        build_n_sequence(cfg)
+        require_modes(cfg["spectrum"]["k"])
+    except ConfigError as exc:
+        raise cfg.error(str(exc)) from exc
     return cfg
 
 
@@ -244,34 +182,48 @@ def parse_config(path) -> RunConfig:
     return parse_config_text(path.read_text(), source=str(path))
 
 
-def preset_config(name: str, task: str | None = None) -> RunConfig:
-    cfg = parse_config_text(f"[run]\npreset = {name}\n", source=f"<preset:{name}>")
-    if task is not None:
-        cfg.sections["run"]["task"] = task
-        _validate(cfg)
-    return cfg
+def preset_config(name: str) -> RunConfig:
+    return parse_config_text(f"[run]\npreset = {name}\n", source=f"<preset:{name}>")
 
 
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
 
+def _choose(table: dict, name: str, choice: str):
+    if choice not in table:
+        raise ConfigError(f"{name} must be one of {sorted(table)}, got {choice!r}")
+    return table[choice]
+
+
+_RATES = {
+    "constant": lambda co: ConstantRate(co["rate_value"]),
+    "power": lambda co: PowerRate(co["rate_gamma"]),
+    "shifted_power": lambda co: ShiftedPowerRate(co["rate_offset"], co["rate_gamma"]),
+}
+
+_KERNELS = {"powerlaw": lambda co: PowerLawKernel(co["kernel_nu"])}
+
+_SHAPES = {
+    "exponential": lambda ini, bundle: np.exp(-bundle.mesh.centers / ini["scale"]),
+    "gaussian_bump": lambda ini, bundle: np.exp(
+        -((bundle.mesh.centers - ini["center"]) / ini["width"]) ** 2),
+    "equilibrium": lambda ini, bundle: stationary.solve_steady(bundle).state.values,
+    "zero": lambda ini, bundle: np.zeros(bundle.mesh.n_cells),
+}
+
+
 def build_rate(cfg: RunConfig) -> RateModel:
     co = cfg["coefficients"]
-    kind = co["rate"]
-    if kind == "constant":
-        rate: RateModel = ConstantRate(co["rate_value"])
-    elif kind == "power":
-        rate = PowerRate(co["rate_gamma"])
-    else:
-        rate = ShiftedPowerRate(co["rate_offset"], co["rate_gamma"])
+    rate = _choose(_RATES, "rate", co["rate"])(co)
     if "regularize_n" in co:
         rate = RegularizedRate(rate, co["regularize_n"])
     return rate
 
 
 def build_kernel(cfg: RunConfig) -> DaughterKernel:
-    return PowerLawKernel(cfg["coefficients"]["kernel_nu"])
+    co = cfg["coefficients"]
+    return _choose(_KERNELS, "kernel", co["kernel"])(co)
 
 
 def build_domain(cfg: RunConfig) -> Mesh:
@@ -286,20 +238,36 @@ def build_bundle(cfg: RunConfig) -> OperatorBundle:
                            diffusion_rate=cfg["coefficients"]["diffusion"])
 
 
+def build_integrator(cfg: RunConfig) -> IntegratorConfig:
+    return IntegratorConfig(**cfg["time"])
+
+
+def build_n_sequence(cfg: RunConfig) -> tuple:
+    raw = cfg["regularized"]["n_sequence"]
+    try:
+        values = [int(tok) for tok in raw.replace(" ", "").split(",") if tok]
+    except ValueError as exc:
+        raise ConfigError(f"n_sequence must list integers, got {raw!r}") from exc
+    return stationary.regularization_indices(values)
+
+
+def _initial_shape(ini: dict):
+    """The [initial] rules; returns the unnormalised profile shape(ini, bundle)."""
+    shape = _choose(_SHAPES, "kind", ini["kind"])
+    for key in ("scale", "width"):
+        if ini[key] <= 0:
+            raise ConfigError(f"{key} must be positive, got {ini[key]}")
+    if ini["mass"] < 0:
+        raise ConfigError(f"mass must be >= 0, got {ini['mass']}")
+    return shape
+
+
 def build_initial(cfg: RunConfig, bundle: OperatorBundle) -> State:
     ini = cfg["initial"]
-    xc = bundle.mesh.centers
-    kind = ini["kind"]
-    if kind == "zero":
-        return State(values=np.zeros_like(xc), mesh=bundle.mesh)
-    if kind == "exponential":
-        values = np.exp(-xc / ini["scale"])
-    elif kind == "gaussian_bump":
-        values = np.exp(-((xc - ini["center"]) / ini["width"]) ** 2)
-    else:   # equilibrium
-        from .stationary import solve_steady
-        return solve_steady(bundle, normalize_mass=ini["mass"]).state
-    current = moment_of(bundle.mesh, values, 1.0)
-    if current <= 0:
-        raise ConfigError("initial profile carries no mass on this mesh")
-    return State(values=values * (ini["mass"] / current), mesh=bundle.mesh)
+    values = _initial_shape(ini)(ini, bundle)
+    if ini["kind"] != "zero":
+        current = moment_of(bundle.mesh, values, 1.0)
+        if current <= 0:
+            raise ConfigError("initial profile carries no mass on this mesh")
+        values = values * (ini["mass"] / current)
+    return State(values=values, mesh=bundle.mesh)

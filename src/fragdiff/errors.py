@@ -17,7 +17,7 @@ class PropertyViolation(RuntimeError):
     """A structural property the model guarantees was violated numerically."""
 
 
-class UnsupportedOrderError(ValueError):
+class UnsupportedOrderError(ConfigError):
     """Moment order outside the integrable range m > -1."""
 
 

@@ -17,6 +17,7 @@ positivity preserving.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,15 +25,26 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigError, NumericsError, PropertyViolation
-from .mesh import State, mass, moment_of, tail_mass_fraction, x1_distance_of
+from .mesh import (State, mass, moment_of, require_moment_order,
+                   tail_mass_fraction, x1_distance_of)
 from .operators import OperatorBundle
 
 SCHEMES = ("imex_euler", "crank_nicolson_imex", "fully_implicit")
 POSITIVITY_FLOOR = -1e-13
 
 
+def _check_step(scheme: str, dt: float | None) -> None:
+    if scheme not in SCHEMES:
+        raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if dt is not None and not dt > 0:
+        raise ConfigError(f"dt must be positive, got {dt}")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Time-loop settings.  An explicit dt must divide t_end; without one,
+    evolve() takes the fewest equal steps no longer than default_dt."""
+
     scheme: str = "imex_euler"
     dt: float | None = None
     t_end: float = 1.0
@@ -41,14 +53,15 @@ class IntegratorConfig:
     enforce_positivity: bool = True
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
+        _check_step(self.scheme, self.dt)
+        if not self.t_end > 0:
+            raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        if self.dt is not None and \
+                abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ConfigError(f"t_end = {self.t_end} is not a multiple of dt = {self.dt}")
         if self.output_every < 1:
-            raise ConfigError("output_every must be >= 1")
+            raise ConfigError(f"output_every must be >= 1, got {self.output_every}")
+        require_moment_order(self.moment_order)
 
 
 def default_dt(bundle: OperatorBundle) -> float:
@@ -65,10 +78,7 @@ class Stepper:
     """Prefactored single-step map for one (bundle, dt, scheme) combination."""
 
     def __init__(self, bundle: OperatorBundle, dt: float, scheme: str = "imex_euler"):
-        if scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {scheme!r}")
-        if dt <= 0:
-            raise ConfigError("dt must be positive")
+        _check_step(scheme, dt)
         self.bundle = bundle
         self.dt = dt
         self.scheme = scheme
@@ -153,8 +163,9 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
     `reference` adds an X1 distance column (convergence diagnostics).  States
     themselves are kept only every `output_every` steps to bound memory.
     """
-    dt = config.dt if config.dt is not None else default_dt(bundle)
-    n_steps = max(int(round(config.t_end / dt)), 1)
+    dt = config.dt if config.dt is not None else \
+        config.t_end / math.ceil(config.t_end / default_dt(bundle))
+    n_steps = round(config.t_end / dt)
     stepper = Stepper(bundle, dt, config.scheme)
     mesh = bundle.mesh
     orders = (0.0, 1.0, 2.0, float(config.moment_order))

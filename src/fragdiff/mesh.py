@@ -69,14 +69,14 @@ def build_mesh(x_max: float, n_cells: int, grading: str = "uniform",
     if not x_max > 0:
         raise ConfigError(f"x_max must be positive, got {x_max}")
     if n_cells < 8:
-        raise ConfigError(f"need at least 8 cells, got {n_cells}")
+        raise ConfigError(f"n_cells must be >= 8, got {n_cells}")
     if grading not in GRADINGS:
-        raise ConfigError(f"unknown grading {grading!r}")
+        raise ConfigError(f"grading must be one of {GRADINGS}, got {grading!r}")
     if grading == "uniform":
         edges = np.linspace(0.0, x_max, n_cells + 1)
         return Mesh(edges=edges, grading="uniform")
     if ratio is None or not (1.0 < ratio <= 1.2):
-        raise ConfigError("geometric grading needs ratio in (1, 1.2]")
+        raise ConfigError(f"ratio must lie in (1, 1.2] for geometric grading, got {ratio}")
     k = np.arange(n_cells + 1, dtype=float)
     edges = x_max * (ratio ** k - 1.0) / (ratio ** n_cells - 1.0)
     edges[0] = 0.0
@@ -106,10 +106,14 @@ class State:
                      time=self.time if time is None else time)
 
 
+def require_moment_order(m: float) -> None:
+    if m <= -1.0:
+        raise UnsupportedOrderError(f"moment_order must exceed -1, got {m}")
+
+
 def moment_of(mesh: Mesh, values: np.ndarray, m: float) -> float:
     """Signed moment sum_i xbar_i^m values_i dx_i; requires m > -1."""
-    if m <= -1.0:
-        raise UnsupportedOrderError(f"moment order must exceed -1, got {m}")
+    require_moment_order(m)
     return float(np.sum(mesh.centers ** m * values * mesh.widths))
 
 

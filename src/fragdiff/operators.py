@@ -77,9 +77,9 @@ def assemble_diffusion(mesh: Mesh, right_bc: str = "noflux",
                        diffusion_rate: float = 1.0) -> Tridiagonal:
     """Flux-form second difference with Dirichlet at 0 and configurable right end."""
     if right_bc not in RIGHT_BCS:
-        raise ConfigError(f"unknown right boundary {right_bc!r}")
+        raise ConfigError(f"right_bc must be one of {RIGHT_BCS}, got {right_bc!r}")
     if diffusion_rate <= 0:
-        raise ConfigError("diffusion rate must be positive")
+        raise ConfigError(f"diffusion_rate must be positive, got {diffusion_rate}")
     xc, dx = mesh.centers, mesh.widths
     n = mesh.n_cells
     gap = xc[1:] - xc[:-1]
@@ -276,8 +276,6 @@ def heat_apply_exact(state: State, t: float, clamp: bool | None = None) -> State
     Nonnegative input yields nonnegative output (kernel positivity), enforced
     against roundoff when `clamp` is true (default: input nonnegativity).
     """
-    if t <= 0:
-        raise ConfigError(f"propagation time must be positive, got {t}")
     xc = state.mesh.centers
     f_dx = state.values * state.mesh.widths
     out = np.empty_like(f_dx)

@@ -17,12 +17,24 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .errors import NumericsError, PropertyViolation
+from .errors import ConfigError, NumericsError, PropertyViolation
 from .evolution import Trajectory
 from .mesh import State, weighted_norm_of
 from .operators import OperatorBundle
 
 _DENSE_CUTOFF = 700
+
+
+def require_modes(k: int) -> None:
+    """The number k of subdominant eigenvalues to report must be at least one."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+
+
+def _start_vector(mesh) -> np.ndarray:
+    """Fixed positive unit vector, so that iterative eigensolves are reproducible."""
+    v = np.exp(-mesh.centers / max(1.0, mesh.x_max / 10.0))
+    return v / np.linalg.norm(v)
 
 
 def dominant_eigenpair(bundle: OperatorBundle, tol: float = 1e-10,
@@ -39,8 +51,7 @@ def dominant_eigenpair(bundle: OperatorBundle, tol: float = 1e-10,
         lu = sla.lu_factor(dense)
     except sla.LinAlgError as exc:
         raise NumericsError(f"generator factorization failed: {exc}") from exc
-    v = np.exp(-mesh.centers / max(1.0, mesh.x_max / 10.0))
-    v /= np.linalg.norm(v)
+    v = _start_vector(mesh)
     lam = 0.0
     scale = float(np.max(np.abs(dense)))
     for iteration in range(max_iterations):
@@ -81,6 +92,7 @@ def _deflated(bundle: OperatorBundle, null_vector: np.ndarray) -> tuple[np.ndarr
 
 def subdominant_spectrum(bundle: OperatorBundle, k: int = 8) -> np.ndarray:
     """The k eigenvalues nearest 0 after removing the conserved direction."""
+    require_modes(k)
     if float(bundle.rate.tail_infimum(1e-6, bundle.mesh.x_max)) <= 0.0:
         raise PropertyViolation(
             "spectral run requires a strictly positive rate on the grid")
@@ -95,7 +107,8 @@ def subdominant_spectrum(bundle: OperatorBundle, k: int = 8) -> np.ndarray:
             op_inv = spla.LinearOperator((n, n), matvec=lambda b: sla.lu_solve(lu, b))
             op = spla.LinearOperator((n, n), matvec=lambda b: deflated @ b)
             values = spla.eigs(op, k=min(k + 4, n - 2), sigma=0.0, OPinv=op_inv,
-                               which="LM", return_eigenvectors=False)
+                               which="LM", v0=_start_vector(bundle.mesh),
+                               return_eigenvectors=False)
         except (spla.ArpackNoConvergence, sla.LinAlgError) as exc:
             raise NumericsError(f"subdominant eigensolve failed: {exc}") from exc
     values = values[np.abs(values + shift) > 0.01 * shift]       # drop the moved mode

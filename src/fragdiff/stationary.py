@@ -111,6 +111,16 @@ class RegularizedResult:
     distance_ratios: np.ndarray = field(repr=False, default=None)
 
 
+def regularization_indices(n_sequence) -> tuple:
+    """The lift indices n as a tuple: at least two, positive and increasing."""
+    seq = tuple(int(n) for n in n_sequence)
+    if len(seq) < 2 or any(n < 1 for n in seq) or any(
+            b <= a for a, b in zip(seq, seq[1:])):
+        raise ConfigError(
+            f"n_sequence must be two or more increasing positive integers, got {seq}")
+    return seq
+
+
 def solve_steady_regularized(bundle: OperatorBundle, n_sequence=(4, 16, 64, 256),
                              m: float = 3.0, normalize_mass: float = 1.0) -> RegularizedResult:
     """Steady profiles for lifted rates a + x/n and their extrapolated limit.
@@ -121,10 +131,7 @@ def solve_steady_regularized(bundle: OperatorBundle, n_sequence=(4, 16, 64, 256)
     The 1/n rate is asymptotic: consecutive factor-4 distance ratios approach
     4 only once x/n is small where the mass sits (2.51 at n = 4 for mitosis).
     """
-    seq = tuple(int(n) for n in n_sequence)
-    if len(seq) < 2 or any(n < 1 for n in seq) or any(
-            b <= a for a, b in zip(seq, seq[1:])):
-        raise ConfigError("n_sequence must be increasing positive integers")
+    seq = regularization_indices(n_sequence)
     if not rate_tail_positive(bundle.rate, bundle.mesh.x_max):
         raise PropertyViolation(
             "base rate vanishes on the outer decade; stationary profile "

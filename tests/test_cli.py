@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fragdiff
 from fragdiff import ConfigError
 from fragdiff.cli import main
 from fragdiff.config import (build_bundle, build_initial, parse_config_text,
@@ -84,6 +89,16 @@ mass = 2.5
     state = build_initial(cfg, bundle)
     got = float(np.sum(bundle.mesh.centers * state.values * bundle.mesh.widths))
     assert got == pytest.approx(2.5, rel=1e-12)
+
+
+def test_equilibrium_initial_profile_starts_at_time_zero():
+    cfg = parse_config_text("[run]\npreset = mitosis\n[domain]\ncells = 64\n"
+                            "[initial]\nkind = equilibrium\nmass = 2\n")
+    bundle = build_bundle(cfg)
+    state = build_initial(cfg, bundle)
+    assert state.time == 0.0
+    got = float(np.sum(bundle.mesh.centers * state.values * bundle.mesh.widths))
+    assert got == pytest.approx(2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -211,3 +226,96 @@ def test_preset_run_with_task_override(tmp_path):
             "gain_smallness", "birth_domination"} <= kinds
     statuses = [rec.get("status", "pass") for rec in records]
     assert all(s == "pass" for s in statuses)
+
+
+# ---------------------------------------------------------------------------
+# every value is checked at parse time, at the line of the key
+# ---------------------------------------------------------------------------
+
+# (section, lines before the bad key, bad key line): one row per admissibility
+# rule a config value is subject to
+BAD_VALUES = [
+    ("domain", "", "x_max = -3"),
+    ("domain", "", "cells = 4"),
+    ("domain", "", "grading = spiral"),
+    ("domain", "", "grading = geometric"),                 # no ratio given
+    ("domain", "grading = geometric\n", "ratio = 1.5"),
+    ("domain", "", "right_bc = periodic"),
+    ("coefficients", "", "rate = exotic"),
+    ("coefficients", "rate = power\n", "rate_gamma = -0.5"),
+    ("coefficients", "rate = shifted_power\n", "rate_gamma = -1"),
+    ("coefficients", "", "rate_value = 0"),
+    ("coefficients", "rate = shifted_power\n", "rate_offset = -1"),
+    ("coefficients", "", "regularize_n = 0"),
+    ("coefficients", "", "kernel = custom"),
+    ("coefficients", "", "kernel_nu = 0.5"),
+    ("coefficients", "", "diffusion = 0"),
+    ("time", "", "scheme = rk4"),
+    ("time", "", "dt = -0.1"),
+    ("time", "", "t_end = 0"),
+    ("time", "", "output_every = 0"),
+    ("time", "", "moment_order = -1"),
+    ("time", "dt = 0.3\n", "t_end = 1.0"),
+    ("time", "", "dt = nan"),
+    ("initial", "", "kind = triangle"),
+    ("initial", "", "mass = -1"),
+    ("initial", "", "scale = 0"),
+    ("initial", "", "width = -2"),
+    ("regularized", "", "n_sequence = 16,4"),
+    ("regularized", "", "n_sequence = 4,x"),
+    ("spectrum", "", "k = 0"),
+]
+
+
+@pytest.mark.parametrize("section,before,bad", BAD_VALUES,
+                         ids=[bad for _, _, bad in BAD_VALUES])
+def test_bad_value_rejected_at_its_line(section, before, bad):
+    text = f"[run]\npreset = mitosis\n[{section}]\n{before}{bad}\n"
+    line = text.splitlines().index(bad) + 1
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text, source="run.cfg")
+    assert str(err.value).startswith(f"run.cfg:{line}: [{section}] ")
+
+
+def test_error_anchor_falls_back_to_section_then_source():
+    cfg = parse_config_text("[run]\npreset = mitosis\n[time]\ndt = 0.001\n",
+                            source="run.cfg")
+    assert str(cfg.error("dt must be positive")) == "run.cfg:4: [time] dt must be positive"
+    assert str(cfg.error("t_end must be positive")) == \
+        "run.cfg:3: [time] t_end must be positive"
+    assert str(cfg.error("nu must lie in (-2, 0]")) == \
+        "run.cfg: [coefficients] nu must lie in (-2, 0]"
+    assert str(cfg.error("edges must increase")) == "run.cfg: edges must increase"
+
+
+def test_unknown_task_exits_before_output(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[run]\npreset = mitosis\ntask = fly\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert f"config error: {cfg_file}:3: [run] task" in capsys.readouterr().err
+    assert main(["--preset", "mitosis", "--task", "fly", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["[time]\ndt = nan", "[time]\nt_end = inf",
+                                 "[coefficients]\nrate_value = nan",
+                                 "[time]\nmoment_order = -1.5"])
+def test_unusable_numbers_exit_2_without_traceback(tmp_path, capsys, bad):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"[run]\npreset = mitosis\n{bad}\n")
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg_file}:4: ")
+    assert "Traceback" not in err
+
+
+def test_module_runs_as_cli():
+    src = Path(fragdiff.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "fragdiff.cli", "--preset", "nope"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "unknown preset 'nope'" in proc.stderr

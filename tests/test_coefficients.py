@@ -73,8 +73,9 @@ def test_mass_condition_detects_violation():
     # 1% deficit: admissibility must fail with defect about 1e-2
     with pytest.raises(PropertyViolation):
         CustomKernel(lambda x, y: 1.98 / y * np.ones_like(x), name="leaky")
+    # the quadrature branch, on a kernel that meets the mass condition
     report = verify_mass_condition(
-        PowerLawKernel(0.0), [1.0, 2.0], _skip_admission=True)
+        CustomKernel(PowerLawKernel(0.0).density, name="binary"), [1.0, 2.0])
     assert report.passed
 
 

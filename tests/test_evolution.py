@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fragdiff import (ConstantRate, IntegratorConfig, PowerLawKernel, State,
+from fragdiff import (ConfigError, ConstantRate, IntegratorConfig, PowerLawKernel, State,
                       Stepper, apply_generator, assemble_bundle, default_dt,
                       evolve, heat_apply_exact, mass, moment, solve_steady,
                       step, x1_distance)
@@ -161,3 +161,21 @@ def test_trajectory_records(mitosis_512):
     assert np.all(trajectory.tail_fraction < 1e-12)
     assert moment(trajectory.final, 2.5) == pytest.approx(
         trajectory.moments[2.5][-1], rel=1e-12)
+
+
+def test_t_end_must_be_a_multiple_of_dt():
+    with pytest.raises(ConfigError, match="not a multiple of dt"):
+        IntegratorConfig(dt=0.3, t_end=1.0)
+    with pytest.raises(ConfigError, match="not a multiple of dt"):
+        IntegratorConfig(dt=2.0, t_end=1.0)
+    assert IntegratorConfig(dt=0.1, t_end=1.0).t_end == 1.0     # 10 steps, roundoff aside
+
+
+def test_default_dt_run_ends_at_t_end(mitosis_512):
+    t_end = 0.01
+    cap = default_dt(mitosis_512)
+    assert abs(round(t_end / cap) * cap - t_end) > 0.01 * cap    # cap does not divide t_end
+    run = evolve(mitosis_512, unit_mass_exponential(mitosis_512.mesh),
+                 IntegratorConfig(t_end=t_end))
+    assert run.times[-1] == pytest.approx(t_end, rel=1e-12)
+    assert np.all(np.diff(run.times) <= cap * (1 + 1e-12))

@@ -112,3 +112,10 @@ def test_near_null_space_is_one_dimensional(mitosis_512):
     check = kernel_dimension_check(mitosis_512, gap)
     assert check["separated"]
     assert check["smallest"] < 1e-8 * check["second_smallest"]
+
+
+def test_spectral_gap_reproducible(linear_rate_1024):
+    # ARPACK starts from a fixed vector, so repeated calls agree bit for bit
+    first = spectral_gap(linear_rate_1024, k=8)
+    assert spectral_gap(linear_rate_1024, k=8) == first
+    assert abs(first - 2.33801) <= 1e-5
