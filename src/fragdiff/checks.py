@@ -9,14 +9,14 @@ the margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigError, NumericsError
-from .evolution import Stepper
+from .evolution import Stepper, step_count
 from .mesh import State, weighted_norm_of
 from .operators import OperatorBundle, BirthOperator, image_kernel_value, kernel_value
 
@@ -248,18 +248,14 @@ def check_gain_smallness(bundle: OperatorBundle, initial: State, m: float,
     if m <= 1.0:
         raise ConfigError("gain-smallness check needs m > 1")
     mesh = bundle.mesh
-    absorb = OperatorBundle(
-        mesh=mesh, diffusion=bundle.diffusion,
-        birth=BirthOperator(mesh=mesh, death=bundle.death,
-                            receiver=np.zeros(mesh.n_cells),
-                            donor=np.zeros(mesh.n_cells)),
-        rate=bundle.rate, kernel=bundle.kernel,
-        right_bc=bundle.right_bc, diffusion_rate=bundle.diffusion_rate)
+    absorb = replace(bundle, birth=BirthOperator(
+        mesh=mesh, death=bundle.death, receiver=np.zeros(mesh.n_cells),
+        donor=np.zeros(mesh.n_cells)))
     stepper = Stepper(absorb, dt, "imex_euler")
     denom = weighted_norm_of(mesh, initial.values, m)
     if denom == 0.0:
         raise ConfigError("gain-smallness check needs a nonzero profile")
-    n_steps = int(round(t_max / dt))
+    n_steps = step_count(t_max, dt, "t_max")
     values = initial.values.copy()
     gain_norm = np.empty(n_steps + 1)
     gain_norm[0] = weighted_norm_of(mesh, bundle.birth.apply(values), m)

@@ -133,7 +133,7 @@ def _task_steady(cfg: RunConfig, bundle, out: Path, diag: _Diagnostics) -> None:
     result = solve_steady(bundle, normalize_mass=cfg["steady"]["mass"])
     _write_profile_csv(out / "profile.csv", result.state)
     diag.add("steady", residual_x1=result.residual_x1, mass=result.mass,
-             min_value=result.min_value, method=result.method)
+             min_value=result.min_value)
 
 
 def _task_regularized(cfg: RunConfig, bundle, out: Path, diag: _Diagnostics) -> None:

@@ -6,10 +6,10 @@ their line.  A `preset` key in [run] starts from a named scenario; any
 key given explicitly afterwards overrides the preset value.
 
 Every value is checked at parse time, by building the cheap objects a run
-uses (mesh, diffusion, rate, kernel, integrator, initial shape, n-sequence
-and eigenvalue count): the constructor that consumes a value states its
-rule.  Errors read `<file>:<line>: [section] <message>`, at the offending
-key, or at its section header when a preset or default gave the value.
+uses (mesh, diffusion, rate, kernel, integrator, initial shape, n-sequence,
+eigenvalue count and steady mass): the constructor that consumes a value
+states its rule.  Errors read `<file>:<line>: [section] <message>`, at the
+offending key, or at its section header when a preset or default gave it.
 Numbers must be finite, and an explicit dt must divide t_end.  `_SCHEMA`
 gives each key's type and default; `[run] task`, `[domain] x_max` and
 `[domain] cells` are required.  The CLI checks the task name.
@@ -93,10 +93,11 @@ class RunConfig:
     def echo(self) -> dict:
         return {s: dict(v) for s, v in self.sections.items()}
 
-    def error(self, message: str) -> ConfigError:
+    def error(self, message: str, section: str | None = None) -> ConfigError:
         """`message` anchored as the module docstring says, to the first key it names."""
         keys = [_KEY_OF.get(word, word) for word in re.findall(r"\w+", message)]
-        named = [(sec, key) for key in keys for sec in _SCHEMA if key in _SCHEMA[sec]]
+        named = [(sec, key) for key in keys for sec in _SCHEMA
+                 if key in _SCHEMA[sec] and section in (None, sec)]
         if not named:
             return ConfigError(f"{self.source}: {message}")
         sec, key = next((hit for hit in named if hit in self.lines), named[0])
@@ -172,6 +173,10 @@ def parse_config_text(text: str, source: str = "<memory>") -> RunConfig:
         require_modes(cfg["spectrum"]["k"])
     except ConfigError as exc:
         raise cfg.error(str(exc)) from exc
+    try:
+        stationary.require_mass(cfg["steady"]["mass"])
+    except ConfigError as exc:
+        raise cfg.error(str(exc), "steady") from exc
     return cfg
 
 
@@ -257,8 +262,7 @@ def _initial_shape(ini: dict):
     for key in ("scale", "width"):
         if ini[key] <= 0:
             raise ConfigError(f"{key} must be positive, got {ini[key]}")
-    if ini["mass"] < 0:
-        raise ConfigError(f"mass must be >= 0, got {ini['mass']}")
+    stationary.require_mass(ini["mass"])
     return shape
 
 

@@ -7,7 +7,7 @@ the truncation boundary.  Schemes:
 
     imex_euler          backward-Euler diffusion + forward reaction (default)
     crank_nicolson_imex trapezoidal diffusion + Heun reaction, second order
-    fully_implicit      backward Euler on the whole generator (dense solve)
+    fully_implicit      backward Euler on the whole generator (operators.factor)
 
 imex_euler preserves nonnegativity when dt * max(death) <= 1 (the right-hand
 side stays nonnegative and the diffusion system is an M-matrix); the default
@@ -27,7 +27,7 @@ import scipy.linalg as sla
 from .errors import ConfigError, NumericsError, PropertyViolation
 from .mesh import (State, mass, moment_of, require_moment_order,
                    tail_mass_fraction, x1_distance_of)
-from .operators import OperatorBundle
+from .operators import OperatorBundle, factor
 
 SCHEMES = ("imex_euler", "crank_nicolson_imex", "fully_implicit")
 POSITIVITY_FLOOR = -1e-13
@@ -38,6 +38,14 @@ def _check_step(scheme: str, dt: float | None) -> None:
         raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if dt is not None and not dt > 0:
         raise ConfigError(f"dt must be positive, got {dt}")
+
+
+def step_count(t_end: float, dt: float, name: str = "t_end") -> int:
+    """The number of steps of size dt that end at t_end; dt must divide t_end."""
+    n_steps = round(t_end / dt)
+    if abs(n_steps * dt - t_end) > 1e-9 * t_end:
+        raise ConfigError(f"{name} = {t_end} is not a multiple of dt = {dt}")
+    return n_steps
 
 
 @dataclass(frozen=True)
@@ -56,9 +64,8 @@ class IntegratorConfig:
         _check_step(self.scheme, self.dt)
         if not self.t_end > 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if self.dt is not None and \
-                abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
-            raise ConfigError(f"t_end = {self.t_end} is not a multiple of dt = {self.dt}")
+        if self.dt is not None:
+            step_count(self.t_end, self.dt)
         if self.output_every < 1:
             raise ConfigError(f"output_every must be >= 1, got {self.output_every}")
         require_moment_order(self.moment_order)
@@ -87,17 +94,11 @@ class Stepper:
             warnings.warn(
                 f"dt * max(death) = {self.reaction_cfl:.2f} > 1: explicit reaction "
                 "may lose positivity", stacklevel=2)
-        tri = bundle.diffusion
-        if scheme == "imex_euler":
-            self._banded = tri.shifted_banded(1.0, -dt)
-        elif scheme == "crank_nicolson_imex":
-            self._banded = tri.shifted_banded(1.0, -0.5 * dt)
-        else:
-            dense = np.eye(bundle.mesh.n_cells) - dt * bundle.dense()
-            try:
-                self._lu = sla.lu_factor(dense)
-            except sla.LinAlgError as exc:
-                raise NumericsError(f"implicit system is singular: {exc}") from exc
+        if scheme == "fully_implicit":
+            self._implicit_solve = factor(bundle, 1.0, -dt)
+        else:   # the diffusion half of the IMEX schemes
+            theta = 1.0 if scheme == "imex_euler" else 0.5
+            self._banded = bundle.diffusion.shifted_banded(1.0, -theta * dt)
 
     def _solve_banded(self, rhs: np.ndarray) -> np.ndarray:
         try:
@@ -115,7 +116,7 @@ class Stepper:
             reaction = 0.5 * (bundle.apply_reaction(values)
                               + bundle.apply_reaction(predictor))
             return self._solve_banded(half_l + dt * reaction)
-        return sla.lu_solve(self._lu, values)
+        return self._implicit_solve(values)
 
     def step(self, state: State, enforce_positivity: bool = True) -> State:
         new = self.advance(state.values)
@@ -165,7 +166,7 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
     """
     dt = config.dt if config.dt is not None else \
         config.t_end / math.ceil(config.t_end / default_dt(bundle))
-    n_steps = round(config.t_end / dt)
+    n_steps = step_count(config.t_end, dt)
     stepper = Stepper(bundle, dt, config.scheme)
     mesh = bundle.mesh
     orders = (0.0, 1.0, 2.0, float(config.moment_order))

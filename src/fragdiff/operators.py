@@ -22,17 +22,24 @@ instead of appearing in the strictly lower triangle, so for every donor
 
 and the conservation defect of the full generator is the boundary flux
 alone.  Cell averages of a are mass-weighted for the same reason.
+
+Every linear solve with the generator goes through `factor`.  For power-law
+kernels the birth term is semiseparable, so carrying its suffix sums (and
+prefix masses, for the mass pin) as unknowns makes the system banded and
+each solve O(N).  Custom kernels keep the one dense path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import lapack
 
 from .coefficients import DaughterKernel, PowerLawKernel, RateModel
-from .errors import ConfigError, PropertyViolation
+from .errors import ConfigError, NumericsError, PropertyViolation
 from .mesh import Mesh, State
 
 RIGHT_BCS = ("noflux", "dirichlet")
@@ -57,18 +64,11 @@ class Tridiagonal:
         out[1:] += self.lower * v[:-1]
         return out
 
-    def to_dense(self) -> np.ndarray:
-        return (np.diag(self.diag) + np.diag(self.upper, 1) + np.diag(self.lower, -1))
-
-    def shifted_banded(self, alpha: float, beta: float,
-                       extra_diag: np.ndarray | None = None) -> np.ndarray:
-        """Banded storage of alpha*I + beta*this (+ diag(extra)), for solve_banded."""
-        n = self.n
-        ab = np.zeros((3, n))
+    def shifted_banded(self, alpha: float, beta: float) -> np.ndarray:
+        """Banded storage of alpha*I + beta*this, for solve_banded."""
+        ab = np.zeros((3, self.n))
         ab[0, 1:] = beta * self.upper
         ab[1, :] = alpha + beta * self.diag
-        if extra_diag is not None:
-            ab[1, :] += extra_diag
         ab[2, :-1] = beta * self.lower
         return ab
 
@@ -227,10 +227,75 @@ class OperatorBundle:
         return self.birth.apply(v) - self.death * v
 
     def dense(self) -> np.ndarray:
-        out = self.diffusion.to_dense()
-        out[np.diag_indices_from(out)] -= self.death
-        out += self.birth.applied_matrix()
-        return out
+        """Dense generator: the custom-kernel path of `factor` and a test oracle."""
+        tri = self.diffusion
+        out = np.diag(tri.diag - self.death) + np.diag(tri.upper, 1) + np.diag(tri.lower, -1)
+        return out + self.birth.applied_matrix()
+
+
+def _interleaved_bands(bundle: OperatorBundle, alpha: float, beta: float,
+                       pin: bool) -> np.ndarray:
+    """LAPACK band storage (kl = ku = 3) of alpha*I + beta*G, unknowns (phi_i, s_i, p_i)."""
+    tri, birth, mesh = bundle.diffusion, bundle.birth, bundle.mesh
+    phi = 3 * np.arange(mesh.n_cells)
+    s, p = phi + 1, phi + 2
+    ab = np.zeros((10, 3 * mesh.n_cells))
+
+    def put(rows, cols, values):
+        ab[6 + rows - cols, cols] = values
+
+    # phi rows: alpha phi_i + beta (L phi - d phi + receiver_i s_i) = rhs_i
+    diag = alpha + beta * (tri.diag - birth.death)
+    lower = beta * tri.lower
+    receiver = beta * birth.receiver
+    if pin:     # the last phi row becomes p_{N-1} = rhs_{N-1}
+        diag[-1] = lower[-1] = receiver[-1] = 0.0
+        put(phi[-1], p[-1], 1.0)
+    put(phi, phi, diag)
+    put(phi[1:], phi[:-1], lower)
+    put(phi[:-1], phi[1:], beta * tri.upper)
+    put(phi, s, receiver)
+    # s_i = sum_{j>i} donor_j phi_j, p_i = sum_{j<=i} xbar_j dx_j phi_j by recurrences,
+    # scaled to the phi rows (else pivoting lets the mass pin drift 1e-10 at N = 2^16)
+    unit = float(np.max(np.abs(diag)))
+    put(s, s, unit)
+    put(s[:-1], s[1:], -unit)
+    put(s[:-1], phi[1:], -unit * birth.donor[1:])
+    put(p, p, unit)
+    put(p[1:], p[:-1], -unit)
+    put(p, phi, -unit * mesh.centers * mesh.widths)
+    return ab
+
+
+def factor(bundle: OperatorBundle, alpha: float, beta: float,
+           pin: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor alpha*I + beta*G once; return solve(rhs) -> phi.
+
+    With `pin`, the last equation is the mass row instead,
+    sum_i xbar_i dx_i phi_i = rhs[-1].  Power-law kernels: banded LU of the
+    system in (phi_i, s_i, p_i).  Custom kernels: LU of the same matrix built
+    from `OperatorBundle.dense()`.
+    """
+    n = bundle.mesh.n_cells
+    banded = bundle.birth.separable
+    if banded:
+        lu, piv, info = lapack.dgbtrf(_interleaved_bands(bundle, alpha, beta, pin), 3, 3)
+    else:
+        matrix = alpha * np.eye(n) + beta * bundle.dense()
+        if pin:
+            matrix[-1] = bundle.mesh.centers * bundle.mesh.widths
+        lu, piv, info = lapack.dgetrf(matrix)
+    if info != 0:
+        raise NumericsError(f"generator system is singular (LAPACK info {info})")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        if not banded:
+            return lapack.dgetrs(lu, piv, rhs)[0]
+        z = np.zeros(3 * n)
+        z[::3] = rhs
+        return lapack.dgbtrs(lu, 3, 3, z, piv)[0][::3]
+
+    return solve
 
 
 def assemble_bundle(mesh: Mesh, rate: RateModel, kernel: DaughterKernel,

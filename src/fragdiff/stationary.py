@@ -2,9 +2,9 @@
 
 The kernel of the generator is one-dimensional, so the steady state is the
 solution of the singular system G psi = 0 pinned by the mass constraint
-sum_i xbar_i psi_i dx_i = mass.  By default one generator row (the tail
-cell, where the profile is numerically zero) is replaced by the mass row;
-a least-squares bordered solve is available as a fallback.
+sum_i xbar_i psi_i dx_i = mass: one generator row (the tail cell, where the
+profile is numerically zero) is replaced by the mass row, and the system is
+solved by `operators.factor` (banded in O(N) for power-law kernels).
 
 For rates that are merely bounded below, the steady state is reached as the
 limit of profiles for lifted rates a(x) + x/n.  The sequence converges like
@@ -15,15 +15,14 @@ the quadratic remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .coefficients import PowerRate, RegularizedRate, rate_tail_positive
 from .errors import ConfigError, NumericsError, PropertyViolation
-from .mesh import State, weighted_norm_of, x1_distance_of
-from .operators import OperatorBundle, assemble_birth
+from .mesh import State, moment_of, weighted_norm_of, x1_distance_of
+from .operators import OperatorBundle, assemble_birth, factor
 
 NEGATIVITY_TOL = 1e-10
 
@@ -34,57 +33,39 @@ class SteadyResult:
     residual_x1: float
     mass: float
     min_value: float
-    method: str
 
 
-def _mass_row(bundle: OperatorBundle) -> np.ndarray:
-    return bundle.mesh.centers * bundle.mesh.widths
+def require_mass(mass: float) -> None:
+    """A mass to normalise a profile to must be nonnegative."""
+    if not mass >= 0:
+        raise ConfigError(f"mass must be >= 0, got {mass}")
 
 
-def _solve_pinned(bundle: OperatorBundle, rhs_interior: np.ndarray,
-                  target_mass: float, method: str) -> np.ndarray:
-    """Solve G psi = rhs subject to the mass constraint."""
-    dense = bundle.dense()
-    row = _mass_row(bundle)
-    if method == "row_replace":
-        system = dense.copy()
-        system[-1, :] = row
-        rhs = rhs_interior.copy()
-        rhs[-1] = target_mass
-        try:
-            return sla.solve(system, rhs)
-        except sla.LinAlgError as exc:
-            raise NumericsError(f"pinned steady system is singular: {exc}") from exc
-    if method == "lstsq":
-        n = dense.shape[0]
-        stacked = np.vstack([dense, row[None, :] * n])
-        rhs = np.concatenate([rhs_interior, [target_mass * n]])
-        sol, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-        return sol
-    raise ConfigError(f"unknown steady method {method!r}")
+def _solve_pinned(bundle: OperatorBundle, rhs: np.ndarray, target_mass: float) -> np.ndarray:
+    """Solve G psi = rhs off the last cell, with the mass of psi pinned there."""
+    return factor(bundle, 0.0, 1.0, pin=True)(np.append(rhs[:-1], target_mass))
 
 
-def solve_steady(bundle: OperatorBundle, normalize_mass: float = 1.0,
-                 method: str = "row_replace") -> SteadyResult:
+def solve_steady(bundle: OperatorBundle, normalize_mass: float = 1.0) -> SteadyResult:
     """Mass-normalized steady profile with its generator residual.
 
     Raises PropertyViolation when the solution dips below -1e-10 times its
     peak: the one-dimensional-kernel structure did not survive discretization
     (coefficients outside the uniqueness hypotheses, or a too-coarse mesh).
     """
-    psi = _solve_pinned(bundle, np.zeros(bundle.mesh.n_cells), normalize_mass, method)
+    require_mass(normalize_mass)
+    psi = _solve_pinned(bundle, np.zeros(bundle.mesh.n_cells), normalize_mass)
     peak = float(np.max(np.abs(psi))) or 1.0
     low = float(psi.min())
     if low < -NEGATIVITY_TOL * peak:
         raise PropertyViolation(
             f"steady profile has negative part {low:.3e} (peak {peak:.3e}); "
             "kernel is not numerically one-dimensional")
-    residual = float(np.sum(bundle.mesh.centers * np.abs(bundle.apply(psi))
-                            * bundle.mesh.widths))
-    got_mass = float(np.dot(_mass_row(bundle), psi))
+    residual = x1_distance_of(bundle.mesh, bundle.apply(psi), 0.0)
+    got_mass = moment_of(bundle.mesh, psi, 1.0)
     state = State(values=psi, mesh=bundle.mesh, time=float("inf"))
     return SteadyResult(state=state, residual_x1=residual, mass=got_mass,
-                        min_value=low, method=method)
+                        min_value=low)
 
 
 def lift_response(bundle: OperatorBundle, base_steady: np.ndarray) -> np.ndarray:
@@ -95,7 +76,7 @@ def lift_response(bundle: OperatorBundle, base_steady: np.ndarray) -> np.ndarray
     """
     lift = assemble_birth(bundle.mesh, PowerRate(1.0), bundle.kernel)
     forcing = lift.apply(base_steady) - lift.death * base_steady
-    return _solve_pinned(bundle, -forcing, 0.0, "row_replace")
+    return _solve_pinned(bundle, -forcing, 0.0)
 
 
 @dataclass(frozen=True)
@@ -139,18 +120,11 @@ def solve_steady_regularized(bundle: OperatorBundle, n_sequence=(4, 16, 64, 256)
     mesh = bundle.mesh
     states, residuals = [], []
     for n in seq:
-        lifted = OperatorBundle(
-            mesh=mesh,
-            diffusion=bundle.diffusion,
-            birth=assemble_birth(mesh, RegularizedRate(bundle.rate, n), bundle.kernel),
-            rate=RegularizedRate(bundle.rate, n),
-            kernel=bundle.kernel,
-            right_bc=bundle.right_bc,
-            diffusion_rate=bundle.diffusion_rate)
+        rate = RegularizedRate(bundle.rate, n)
+        lifted = replace(bundle, rate=rate, birth=assemble_birth(mesh, rate, bundle.kernel))
         res = solve_steady(lifted, normalize_mass)
         states.append(res.state)
-        residuals.append(float(np.sum(mesh.centers * np.abs(bundle.apply(res.state.values))
-                                      * mesh.widths)))
+        residuals.append(x1_distance_of(mesh, bundle.apply(res.state.values), 0.0))
     pair_x1 = np.array([x1_distance_of(mesh, a.values, b.values)
                         for a, b in zip(states, states[1:])])
     pair_xm = np.array([weighted_norm_of(mesh, a.values - b.values, m)
@@ -166,10 +140,9 @@ def solve_steady_regularized(bundle: OperatorBundle, n_sequence=(4, 16, 64, 256)
     base = solve_steady(bundle, normalize_mass)
     chi = lift_response(bundle, base.state.values)
     corrected = [st.values - chi / n for st, n in zip(states, seq)]
-    factor = (seq[-1] / seq[-2]) ** 2 - 1.0
-    limit_values = corrected[-1] + (corrected[-1] - corrected[-2]) / factor
-    limit_residual = float(np.sum(mesh.centers * np.abs(bundle.apply(limit_values))
-                                  * mesh.widths))
+    richardson = (seq[-1] / seq[-2]) ** 2 - 1.0
+    limit_values = corrected[-1] + (corrected[-1] - corrected[-2]) / richardson
+    limit_residual = x1_distance_of(mesh, bundle.apply(limit_values), 0.0)
     limit = State(values=limit_values, mesh=mesh, time=float("inf"))
     return RegularizedResult(n_values=seq, states=states, pairwise_x1=pair_x1,
                              pairwise_xm=pair_xm,

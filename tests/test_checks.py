@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fragdiff import (ConstantRate, CustomKernel, PowerLawKernel, PowerRate,
-                      State, assemble_bundle, build_mesh)
+from fragdiff import (ConfigError, ConstantRate, CustomKernel, PowerLawKernel,
+                      PowerRate, State, assemble_bundle, build_mesh)
 from fragdiff.checks import (SampleProfile, WeightSpec, check_gain_smallness,
                              check_interpolation, check_kato, default_catalog,
                              kernel_positivity_samples)
@@ -114,6 +114,17 @@ def test_gain_smallness_linear_rate():
     idx = int(round(0.1 / 1e-3))
     assert report.ratio[idx] < 1.0
     assert np.all(np.diff(report.ratio) >= 0)
+
+
+def test_gain_smallness_time_grid_ends_at_t_max():
+    mesh = build_mesh(40.0, 64)
+    bundle = assemble_bundle(mesh, ConstantRate(1.0), PowerLawKernel(0.0))
+    f = State(values=mesh.centers * np.exp(-mesh.centers), mesh=mesh)
+    report = check_gain_smallness(bundle, f, m=2.0)
+    assert report.t_grid.size == 501
+    assert report.t_grid[-1] == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(ConfigError, match="t_max = 0.5 is not a multiple of dt = 0.3"):
+        check_gain_smallness(bundle, f, m=2.0, t_max=0.5, dt=0.3)
 
 
 def test_gain_smallness_scale_invariant():

@@ -261,6 +261,7 @@ BAD_VALUES = [
     ("initial", "", "mass = -1"),
     ("initial", "", "scale = 0"),
     ("initial", "", "width = -2"),
+    ("steady", "", "mass = -0.5"),
     ("regularized", "", "n_sequence = 16,4"),
     ("regularized", "", "n_sequence = 4,x"),
     ("spectrum", "", "k = 0"),
@@ -275,6 +276,16 @@ def test_bad_value_rejected_at_its_line(section, before, bad):
     with pytest.raises(ConfigError) as err:
         parse_config_text(text, source="run.cfg")
     assert str(err.value).startswith(f"run.cfg:{line}: [{section}] ")
+
+
+def test_negative_steady_mass_exits_2_at_its_line(tmp_path, capsys):
+    # [initial] names a mass too; the error still points at [steady]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[run]\npreset = mitosis\ntask = steady\n[domain]\ncells = 64\n"
+                        "[initial]\nmass = 2\n[steady]\nmass = -1\n")
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {cfg_file}:9: [steady] mass must be >= 0, got -1.0")
 
 
 def test_error_anchor_falls_back_to_section_then_source():

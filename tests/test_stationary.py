@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigvals
 
-from fragdiff import (ConstantRate, IntegratorConfig, PowerLawKernel,
-                      PowerRate, PropertyViolation, State, assemble_bundle,
-                      build_mesh, evolve, solve_steady,
-                      solve_steady_regularized, x1_distance)
+from fragdiff import (ConstantRate, IntegratorConfig, OperatorBundle,
+                      PowerLawKernel, PowerRate, PropertyViolation, State,
+                      Stepper, assemble_birth, assemble_bundle, build_mesh,
+                      dominant_eigenpair, evolve, solve_steady,
+                      solve_steady_regularized, spectral_gap,
+                      subdominant_spectrum, x1_distance)
+from fragdiff.stationary import lift_response
 from conftest import exact_equilibrium
 
 
@@ -34,10 +38,74 @@ def test_steady_scaling_linearity(mitosis_512):
                        rtol=1e-12, atol=1e-14)
 
 
-def test_steady_lstsq_agrees_with_row_replace(mitosis_512):
-    a = solve_steady(mitosis_512, method="row_replace")
-    b = solve_steady(mitosis_512, method="lstsq")
-    assert x1_distance(a.state, b.state) < 1e-8
+ORACLE_CASES = [(rate, nu, grading, right_bc)
+                for rate in (ConstantRate(1.0), PowerRate(1.0), PowerRate(0.5))
+                for nu in (0.0, -0.5)
+                for grading in ("uniform", "geometric")
+                for right_bc in ("noflux", "dirichlet")]
+
+
+def relative_error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("rate,nu,grading,right_bc", ORACLE_CASES)
+def test_structured_solves_match_dense_oracle(rate, nu, grading, right_bc):
+    # every solve of the structured factorisation against a dense LAPACK
+    # solve of bundle.dense(), with the mass row in place of the last row
+    mesh = build_mesh(40.0, 192, grading, 1.02 if grading == "geometric" else None)
+    bundle = assemble_bundle(mesh, rate, PowerLawKernel(nu), right_bc=right_bc)
+    dense = bundle.dense()
+    pinned = dense.copy()
+    pinned[-1] = mesh.centers * mesh.widths
+    mass_rhs = np.zeros(mesh.n_cells)
+    mass_rhs[-1] = 1.0
+    steady = solve_steady(bundle).state.values
+    assert relative_error(steady, np.linalg.solve(pinned, mass_rhs)) <= 1e-10
+
+    lift = assemble_birth(mesh, PowerRate(1.0), bundle.kernel)
+    forcing = -(lift.apply(steady) - lift.death * steady)
+    forcing[-1] = 0.0
+    assert relative_error(lift_response(bundle, steady),
+                          np.linalg.solve(pinned, forcing)) <= 1e-10
+
+    f = np.exp(-mesh.centers)
+    dt = 0.01
+    stepped = Stepper(bundle, dt, "fully_implicit").advance(f)
+    assert relative_error(stepped, np.linalg.solve(np.eye(mesh.n_cells) - dt * dense, f)) \
+        <= 1e-10
+
+    oracle = eigvals(dense)
+    oracle = oracle[np.argsort(-oracle.real)][1:5]       # drop the dominant mode
+    got = subdominant_spectrum(bundle, k=4)
+    assert np.max(np.abs(got - oracle) / np.abs(oracle)) <= 1e-10
+
+
+def test_power_law_paths_build_no_dense_matrix(monkeypatch, mitosis_512):
+    def refuse(self):
+        raise AssertionError("dense generator built on a power-law path")
+
+    monkeypatch.setattr(OperatorBundle, "dense", refuse)
+    assert solve_steady(mitosis_512).mass == pytest.approx(1.0, abs=1e-12)
+    solve_steady_regularized(mitosis_512, (16, 64))
+    assert spectral_gap(mitosis_512, k=4) > 0
+    dominant_eigenpair(mitosis_512)
+    mesh = mitosis_512.mesh
+    initial = State(values=np.exp(-mesh.centers), mesh=mesh)
+    evolve(mitosis_512, initial, IntegratorConfig(scheme="fully_implicit", dt=0.01,
+                                                  t_end=0.1))
+
+
+def test_large_mesh_steady_and_gap():
+    # N = 2^16: a dense generator would need 34 GB
+    mesh = build_mesh(40.0, 2 ** 16)
+    bundle = assemble_bundle(mesh, ConstantRate(1.0), PowerLawKernel(0.0))
+    result = solve_steady(bundle)
+    values = result.state.values
+    assert result.mass == pytest.approx(1.0, abs=1e-12)
+    assert result.min_value >= -1e-10 * values.max()
+    assert x1_error_to_equilibrium(result) <= 1e-7
+    assert abs(spectral_gap(bundle) - 0.5) <= 1e-6
 
 
 def test_steady_linear_rate_profile(linear_rate_1024):
