@@ -19,7 +19,7 @@ from .coefficients import (ConstantRate, ContractionConstants, CustomKernel,
                            verify_mass_condition)
 from .errors import (ConfigError, NotApplicableError, NumericsError,
                      PropertyViolation, UnsupportedOrderError)
-from .evolution import IntegratorConfig, Stepper, Trajectory, default_dt, evolve, step
+from .evolution import IntegratorConfig, Stepper, Trajectory, default_dt, evolve
 from .mesh import (Mesh, State, build_mesh, mass, moment, tail_mass_fraction,
                    weighted_norm, x1_distance)
 from .operators import (OperatorBundle, apply_generator, assemble_birth,
@@ -42,7 +42,7 @@ __all__ = [
     "assemble_diffusion", "assemble_birth", "assemble_bundle", "OperatorBundle",
     "apply_generator", "kernel_value", "image_kernel_value", "heat_apply_exact",
     "heat_growth_bound",
-    "IntegratorConfig", "Stepper", "Trajectory", "step", "evolve", "default_dt",
+    "IntegratorConfig", "Stepper", "Trajectory", "evolve", "default_dt",
     "SteadyResult", "solve_steady", "RegularizedResult",
     "solve_steady_regularized",
     "dominant_eigenpair", "subdominant_spectrum", "spectral_gap", "decay_rate",

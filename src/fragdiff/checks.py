@@ -9,16 +9,16 @@ the margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigError, NumericsError
-from .evolution import Stepper, step_count
+from .evolution import step_count, warn_explicit_death
 from .mesh import State, weighted_norm_of
-from .operators import OperatorBundle, BirthOperator, image_kernel_value, kernel_value
+from .operators import OperatorBundle, image_kernel_value, kernel_value
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
 
@@ -248,19 +248,18 @@ def check_gain_smallness(bundle: OperatorBundle, initial: State, m: float,
     if m <= 1.0:
         raise ConfigError("gain-smallness check needs m > 1")
     mesh = bundle.mesh
-    absorb = replace(bundle, birth=BirthOperator(
-        mesh=mesh, death=bundle.death, receiver=np.zeros(mesh.n_cells),
-        donor=np.zeros(mesh.n_cells)))
-    stepper = Stepper(absorb, dt, "imex_euler")
     denom = weighted_norm_of(mesh, initial.values, m)
     if denom == 0.0:
         raise ConfigError("gain-smallness check needs a nonzero profile")
     n_steps = step_count(t_max, dt, "t_max")
-    values = initial.values.copy()
+    # the absorption flow: implicit diffusion, explicit death (IMEX Euler without gain)
+    warn_explicit_death(dt * float(np.max(bundle.death)))
+    solve = bundle.diffusion.factor(1.0, -dt)
+    values = initial.values
     gain_norm = np.empty(n_steps + 1)
     gain_norm[0] = weighted_norm_of(mesh, bundle.birth.apply(values), m)
     for k in range(1, n_steps + 1):
-        values = stepper.advance(values)
+        values = solve(values - dt * (bundle.death * values))
         gain_norm[k] = weighted_norm_of(mesh, bundle.birth.apply(values), m)
     t_grid = dt * np.arange(n_steps + 1)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * dt * (gain_norm[1:] + gain_norm[:-1]))])

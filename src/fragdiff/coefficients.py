@@ -365,12 +365,9 @@ def verify_mass_condition(kernel: DaughterKernel, y_samples,
     ys = np.asarray(y_samples, dtype=float)
     if np.any(ys <= 0):
         raise ConfigError("donor samples must be positive")
-    if isinstance(kernel, CustomKernel):
-        masses = np.array([_gauss_on(0.0, float(y), lambda x: x * kernel.density(x, float(y)))
-                           for y in ys])
+    masses = np.array([float(kernel.fragment_mass_below(y, y)) for y in ys])
+    if isinstance(kernel, CustomKernel):     # Gauss quadrature, not closed form
         tol = max(tol, 1e-8)
-    else:
-        masses = np.array([float(kernel.fragment_mass_below(y, y)) for y in ys])
     defects = np.abs(masses - ys) / ys
     worst = int(np.argmax(defects))
     return MassConditionReport(max_defect=float(defects[worst]), worst_y=float(ys[worst]),

@@ -9,6 +9,9 @@ the truncation boundary.  Schemes:
     crank_nicolson_imex trapezoidal diffusion + Heun reaction, second order
     fully_implicit      backward Euler on the whole generator (operators.factor)
 
+A `Stepper` factors its system once: the diffusion system of the IMEX
+schemes through `Tridiagonal.factor`, the whole generator through `factor`.
+
 imex_euler preserves nonnegativity when dt * max(death) <= 1 (the right-hand
 side stays nonnegative and the diffusion system is an M-matrix); the default
 step size keeps a factor-2 margin.  fully_implicit is unconditionally
@@ -22,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConfigError, NumericsError, PropertyViolation
 from .mesh import (State, mass, moment_of, require_moment_order,
@@ -41,11 +43,21 @@ def _check_step(scheme: str, dt: float | None) -> None:
 
 
 def step_count(t_end: float, dt: float, name: str = "t_end") -> int:
-    """The number of steps of size dt that end at t_end; dt must divide t_end."""
-    n_steps = round(t_end / dt)
+    """The number of steps of size dt that end at t_end > 0; dt must divide t_end."""
+    if not 0 < t_end < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {t_end}")
+    n_steps = round(t_end / dt) if dt > 0 else 0     # a dt <= 0 divides nothing
     if abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise ConfigError(f"{name} = {t_end} is not a multiple of dt = {dt}")
     return n_steps
+
+
+def warn_explicit_death(cfl: float) -> None:
+    """A forward-Euler death step keeps nonnegative data nonnegative only
+    while cfl = dt * max(death) <= 1; warn the caller's caller beyond that."""
+    if cfl > 1.0:
+        warnings.warn(f"dt * max(death) = {cfl:.2f} > 1: explicit reaction "
+                      "may lose positivity", stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -58,14 +70,11 @@ class IntegratorConfig:
     t_end: float = 1.0
     output_every: int = 1
     moment_order: float = 3.0
-    enforce_positivity: bool = True
 
     def __post_init__(self):
         _check_step(self.scheme, self.dt)
-        if not self.t_end > 0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if self.dt is not None:
-            step_count(self.t_end, self.dt)
+        # t_end is positive and finite, and an explicit dt divides it
+        step_count(self.t_end, self.t_end if self.dt is None else self.dt)
         if self.output_every < 1:
             raise ConfigError(f"output_every must be >= 1, got {self.output_every}")
         require_moment_order(self.moment_order)
@@ -89,40 +98,32 @@ class Stepper:
         self.bundle = bundle
         self.dt = dt
         self.scheme = scheme
-        self.reaction_cfl = dt * float(np.max(bundle.death)) if bundle.death.size else 0.0
-        if scheme == "imex_euler" and self.reaction_cfl > 1.0:
-            warnings.warn(
-                f"dt * max(death) = {self.reaction_cfl:.2f} > 1: explicit reaction "
-                "may lose positivity", stacklevel=2)
+        self.reaction_cfl = dt * float(np.max(bundle.death))
+        if scheme == "imex_euler":
+            warn_explicit_death(self.reaction_cfl)
         if scheme == "fully_implicit":
-            self._implicit_solve = factor(bundle, 1.0, -dt)
+            self._solve = factor(bundle, 1.0, -dt)
         else:   # the diffusion half of the IMEX schemes
             theta = 1.0 if scheme == "imex_euler" else 0.5
-            self._banded = bundle.diffusion.shifted_banded(1.0, -theta * dt)
-
-    def _solve_banded(self, rhs: np.ndarray) -> np.ndarray:
-        try:
-            return sla.solve_banded((1, 1), self._banded, rhs)
-        except (sla.LinAlgError, ValueError) as exc:
-            raise NumericsError(f"tridiagonal solve failed: {exc}") from exc
+            self._solve = bundle.diffusion.factor(1.0, -theta * dt)
 
     def advance(self, values: np.ndarray) -> np.ndarray:
-        dt, bundle = self.dt, self.bundle
+        dt, bundle, solve = self.dt, self.bundle, self._solve
         if self.scheme == "imex_euler":
-            return self._solve_banded(values + dt * bundle.apply_reaction(values))
+            return solve(values + dt * bundle.apply_reaction(values))
         if self.scheme == "crank_nicolson_imex":
             half_l = values + 0.5 * dt * bundle.diffusion.apply(values)
-            predictor = self._solve_banded(half_l + dt * bundle.apply_reaction(values))
+            predictor = solve(half_l + dt * bundle.apply_reaction(values))
             reaction = 0.5 * (bundle.apply_reaction(values)
                               + bundle.apply_reaction(predictor))
-            return self._solve_banded(half_l + dt * reaction)
-        return self._implicit_solve(values)
+            return solve(half_l + dt * reaction)
+        return solve(values)
 
-    def step(self, state: State, enforce_positivity: bool = True) -> State:
+    def step(self, state: State) -> State:
         new = self.advance(state.values)
         if not np.all(np.isfinite(new)):
             raise NumericsError("integrator produced non-finite values")
-        if enforce_positivity and np.all(state.values >= 0.0):
+        if np.all(state.values >= 0.0):
             low = float(new.min(initial=0.0))
             if low < POSITIVITY_FLOOR:
                 raise PropertyViolation(
@@ -130,12 +131,6 @@ class Stepper:
             if low < 0.0:
                 new = np.maximum(new, 0.0)
         return state.copy_with(new, time=state.time + self.dt)
-
-
-def step(bundle: OperatorBundle, state: State, dt: float,
-         scheme: str = "imex_euler", enforce_positivity: bool = True) -> State:
-    """One-off single step; evolve() reuses a prefactored Stepper instead."""
-    return Stepper(bundle, dt, scheme).step(state, enforce_positivity)
 
 
 @dataclass
@@ -193,7 +188,7 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
 
     record(0, state)
     for k in range(1, n_steps + 1):
-        state = stepper.step(state, config.enforce_positivity)
+        state = stepper.step(state)
         min_seen = min(min_seen, float(state.values.min(initial=0.0)))
         record(k, state)
         if k % config.output_every == 0:

@@ -16,7 +16,7 @@ Birth weights apportion fragment MASS exactly: donors in cell j are spread
 over their cell, and the fragment mass a donor places in receiver cell i is
 integrated in closed form (power-law kernels) or by Gauss quadrature.
 Fragments that land inside the donor's own cell cancel part of its death
-instead of appearing in the strictly lower triangle, so for every donor
+instead of appearing in the strictly upper triangle, so for every donor
 
     birth mass rate  =  effective death mass rate      (exactly),
 
@@ -26,7 +26,8 @@ alone.  Cell averages of a are mass-weighted for the same reason.
 Every linear solve with the generator goes through `factor`.  For power-law
 kernels the birth term is semiseparable, so carrying its suffix sums (and
 prefix masses, for the mass pin) as unknowns makes the system banded and
-each solve O(N).  Custom kernels keep the one dense path.
+each solve O(N).  Custom kernels keep the one dense path.  Solves with the
+diffusion part alone go through `Tridiagonal.factor`.
 """
 
 from __future__ import annotations
@@ -54,23 +55,23 @@ class Tridiagonal:
     diag: np.ndarray    # length n
     upper: np.ndarray   # super-diagonal, length n-1
 
-    @property
-    def n(self) -> int:
-        return self.diag.size
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
         out[:-1] += self.upper * v[1:]
         out[1:] += self.lower * v[:-1]
         return out
 
-    def shifted_banded(self, alpha: float, beta: float) -> np.ndarray:
-        """Banded storage of alpha*I + beta*this, for solve_banded."""
-        ab = np.zeros((3, self.n))
-        ab[0, 1:] = beta * self.upper
-        ab[1, :] = alpha + beta * self.diag
-        ab[2, :-1] = beta * self.lower
-        return ab
+    def factor(self, alpha: float, beta: float) -> Callable[[np.ndarray], np.ndarray]:
+        """Factor alpha*I + beta*this once (LAPACK gttrf); return solve(rhs)."""
+        dl, d, du, du2, piv, info = lapack.dgttrf(
+            beta * self.lower, alpha + beta * self.diag, beta * self.upper)
+        if info != 0:
+            raise NumericsError(f"tridiagonal system is singular (LAPACK info {info})")
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            return lapack.dgttrs(dl, d, du, du2, piv, rhs)[0]
+
+        return solve
 
 
 def assemble_diffusion(mesh: Mesh, right_bc: str = "noflux",
@@ -102,7 +103,7 @@ def assemble_diffusion(mesh: Mesh, right_bc: str = "noflux",
 
 @dataclass(frozen=True)
 class BirthOperator:
-    """Strictly lower-triangular gain term plus matching effective death.
+    """Strictly upper-triangular gain term plus matching effective death.
 
     separable form: (B phi)_i = receiver_i * sum_{j>i} donor_j * phi_j, where
     donor_j already carries the donor-cell measure.  Custom kernels store the
@@ -334,12 +335,12 @@ def image_kernel_value(t: float, x, y) -> np.ndarray:
     return kernel_value(t, x - y) - kernel_value(t, x + y)
 
 
-def heat_apply_exact(state: State, t: float, clamp: bool | None = None) -> State:
+def heat_apply_exact(state: State, t: float) -> State:
     """Evolve a state by the half-line heat propagator, as a dense quadrature.
 
     O(N^2) reference evaluator for validation; never used in the time loop.
     Nonnegative input yields nonnegative output (kernel positivity), enforced
-    against roundoff when `clamp` is true (default: input nonnegativity).
+    against roundoff.
     """
     xc = state.mesh.centers
     f_dx = state.values * state.mesh.widths
@@ -349,9 +350,7 @@ def heat_apply_exact(state: State, t: float, clamp: bool | None = None) -> State
         hi = min(lo + chunk, xc.size)
         block = image_kernel_value(t, xc[lo:hi, None], xc[None, :])
         out[lo:hi] = block @ f_dx
-    if clamp is None:
-        clamp = bool(np.all(state.values >= 0.0))
-    if clamp:
+    if np.all(state.values >= 0.0):
         np.maximum(out, 0.0, out=out)
     return state.copy_with(out, time=state.time + t)
 

@@ -127,6 +127,15 @@ def test_gain_smallness_time_grid_ends_at_t_max():
         check_gain_smallness(bundle, f, m=2.0, t_max=0.5, dt=0.3)
 
 
+@pytest.mark.parametrize("t_max", [-0.5, 0.0, np.inf])
+def test_gain_smallness_needs_positive_t_max(t_max):
+    mesh = build_mesh(40.0, 64)
+    bundle = assemble_bundle(mesh, ConstantRate(1.0), PowerLawKernel(0.0))
+    f = State(values=mesh.centers * np.exp(-mesh.centers), mesh=mesh)
+    with pytest.raises(ConfigError, match=f"t_max must be positive and finite, got {t_max}"):
+        check_gain_smallness(bundle, f, m=2.0, t_max=t_max, dt=0.1)
+
+
 def test_gain_smallness_scale_invariant():
     mesh = build_mesh(40.0, 256)
     bundle = assemble_bundle(mesh, PowerRate(1.0), PowerLawKernel(0.0))

@@ -4,7 +4,7 @@ import pytest
 from fragdiff import (ConfigError, ConstantRate, IntegratorConfig, PowerLawKernel, State,
                       Stepper, apply_generator, assemble_bundle, default_dt,
                       evolve, heat_apply_exact, mass, moment, solve_steady,
-                      step, x1_distance)
+                      x1_distance)
 from conftest import exact_equilibrium
 
 
@@ -26,7 +26,7 @@ def test_step_consistency_with_generator(mitosis_512):
     gen = apply_generator(mitosis_512, state).values
     errors = []
     for dt in (1e-3, 5e-4):
-        moved = step(mitosis_512, state, dt)
+        moved = Stepper(mitosis_512, dt).step(state)
         errors.append(np.max(np.abs((moved.values - state.values) / dt - gen)))
     assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.2)
 
@@ -53,7 +53,7 @@ def test_equilibrium_is_stationary(mitosis_2048):
     mesh = mitosis_2048.mesh
     psi = State(values=exact_equilibrium(mesh.centers), mesh=mesh)
     dt = 1e-3
-    moved = step(mitosis_2048, psi, dt)
+    moved = Stepper(mitosis_2048, dt).step(psi)
     drift = x1_distance(moved, psi) / dt
     # residual-speed of the exact profile is bounded by scheme + space error
     assert drift < 5e-4
@@ -92,6 +92,23 @@ def test_positivity_random_data(linear_rate_512, rng):
         values = rng.random(mesh.n_cells) * np.exp(-0.2 * mesh.centers)
         trajectory = evolve(linear_rate_512, State(values=values, mesh=mesh), config)
         assert trajectory.min_value >= -1e-13
+
+
+@pytest.mark.parametrize("scheme", ["imex_euler", "crank_nicolson_imex"])
+def test_imex_schemes_factor_diffusion_once(mitosis_512, monkeypatch, scheme):
+    from fragdiff import operators
+    calls = []
+    dgttrf = operators.lapack.dgttrf
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].size)
+        return dgttrf(*args, **kwargs)
+
+    monkeypatch.setattr(operators.lapack, "dgttrf", counted)
+    config = IntegratorConfig(scheme=scheme, dt=1e-3, t_end=0.05)
+    run = evolve(mitosis_512, unit_mass_exponential(mitosis_512.mesh), config)
+    assert run.times.size == 51
+    assert calls == [mitosis_512.mesh.n_cells]
 
 
 def test_positivity_warning_on_large_dt(linear_rate_512):
@@ -169,6 +186,9 @@ def test_t_end_must_be_a_multiple_of_dt():
     with pytest.raises(ConfigError, match="not a multiple of dt"):
         IntegratorConfig(dt=2.0, t_end=1.0)
     assert IntegratorConfig(dt=0.1, t_end=1.0).t_end == 1.0     # 10 steps, roundoff aside
+    for t_end in (0.0, np.inf):
+        with pytest.raises(ConfigError, match="t_end must be positive and finite"):
+            IntegratorConfig(t_end=t_end)
 
 
 def test_default_dt_run_ends_at_t_end(mitosis_512):

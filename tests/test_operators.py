@@ -49,6 +49,29 @@ def test_diffusion_mass_rate_is_boundary_flux_only(mesh_512, rng):
     assert np.sum(xc * dx * tri.apply(phi)) == pytest.approx(-phi[-1], rel=1e-10)
 
 
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+@pytest.mark.parametrize("right_bc", ["noflux", "dirichlet"])
+@pytest.mark.parametrize("grading", ["uniform", "geometric"])
+def test_tridiagonal_factor_matches_dense_solve(grading, right_bc, theta, rng):
+    mesh = build_mesh(40.0, 256, grading, ratio=1.01 if grading == "geometric" else None)
+    tri = assemble_diffusion(mesh, right_bc)
+    dt = 1e-3
+    dense = (np.eye(mesh.n_cells) - theta * dt * (
+        np.diag(tri.diag) + np.diag(tri.upper, 1) + np.diag(tri.lower, -1)))
+    rhs = rng.random(mesh.n_cells)
+    expected = np.linalg.solve(dense, rhs)
+    got = tri.factor(1.0, -theta * dt)(rhs)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_singular_tridiagonal_raises():
+    from fragdiff import NumericsError
+    from fragdiff.operators import Tridiagonal
+    tri = Tridiagonal(lower=np.ones(7), diag=np.zeros(8), upper=np.zeros(7))
+    with pytest.raises(NumericsError, match="singular"):
+        tri.factor(0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # birth operator
 # ---------------------------------------------------------------------------
