@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigError, NumericsError
-from .evolution import step_count, warn_explicit_death
+from .evolution import positivity_budget, step_count
 from .mesh import State, weighted_norm_of
 from .operators import OperatorBundle, image_kernel_value, kernel_value
 
@@ -253,7 +253,7 @@ def check_gain_smallness(bundle: OperatorBundle, initial: State, m: float,
         raise ConfigError("gain-smallness check needs a nonzero profile")
     n_steps = step_count(t_max, dt, "t_max")
     # the absorption flow: implicit diffusion, explicit death (IMEX Euler without gain)
-    warn_explicit_death(dt * float(np.max(bundle.death)))
+    positivity_budget(bundle, dt, "imex_euler")      # warns beyond 1
     solve = bundle.diffusion.factor(1.0, -dt)
     values = initial.values
     gain_norm = np.empty(n_steps + 1)

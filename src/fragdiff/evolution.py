@@ -11,11 +11,13 @@ the truncation boundary.  Schemes:
 
 A `Stepper` factors its system once: the diffusion system of the IMEX
 schemes through `Tridiagonal.factor`, the whole generator through `factor`.
+`Stepper.step` maps cell values to cell values; `evolve` steps raw arrays
+and takes every recorded reduction from weights built once per run.
 
 imex_euler preserves nonnegativity when dt * max(death) <= 1 (the right-hand
 side stays nonnegative and the diffusion system is an M-matrix); the default
-step size keeps a factor-2 margin.  fully_implicit is unconditionally
-positivity preserving.
+step size keeps a factor-2 margin.  `positivity_budget` states each scheme's
+bound; fully_implicit is unconditionally positivity preserving.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericsError, PropertyViolation
-from .mesh import (State, mass, moment_of, require_moment_order,
+# re-exported: evolve() records what tail_mass_fraction and x1_distance_of give
+from .mesh import (State, moment_of, require_moment_order,  # noqa: F401
                    tail_mass_fraction, x1_distance_of)
 from .operators import OperatorBundle, factor
 
@@ -52,12 +55,18 @@ def step_count(t_end: float, dt: float, name: str = "t_end") -> int:
     return n_steps
 
 
-def warn_explicit_death(cfl: float) -> None:
-    """A forward-Euler death step keeps nonnegative data nonnegative only
-    while cfl = dt * max(death) <= 1; warn the caller's caller beyond that."""
-    if cfl > 1.0:
-        warnings.warn(f"dt * max(death) = {cfl:.2f} > 1: explicit reaction "
-                      "may lose positivity", stacklevel=3)
+def positivity_budget(bundle: OperatorBundle, dt: float, scheme: str) -> float:
+    """The scheme's positivity budget; warns the caller's caller when it exceeds 1.
+    imex_euler keeps nonnegative data nonnegative while dt * max(death) <= 1.  The
+    crank_nicolson_imex half step I + dt/2 (L - death) needs dt/2 * max(death -
+    diag L) <= 1, its predictor the imex_euler bound; not proven sufficient."""
+    cfl = dt * float(np.max(bundle.death))
+    half_step = 0.5 * dt * float(np.max(bundle.death - bundle.diffusion.diag))
+    budget = {"imex_euler": cfl, "crank_nicolson_imex": max(cfl, half_step)}.get(scheme, 0.0)
+    if budget > 1.0:
+        warnings.warn(f"positivity budget {budget:.2f} > 1: the explicit part of the "
+                      "step may lose positivity", stacklevel=3)
+    return budget
 
 
 @dataclass(frozen=True)
@@ -99,8 +108,7 @@ class Stepper:
         self.dt = dt
         self.scheme = scheme
         self.reaction_cfl = dt * float(np.max(bundle.death))
-        if scheme == "imex_euler":
-            warn_explicit_death(self.reaction_cfl)
+        self.positivity_budget = positivity_budget(bundle, dt, scheme)
         if scheme == "fully_implicit":
             self._solve = factor(bundle, 1.0, -dt)
         else:   # the diffusion half of the IMEX schemes
@@ -119,18 +127,19 @@ class Stepper:
             return solve(half_l + dt * reaction)
         return solve(values)
 
-    def step(self, state: State) -> State:
-        new = self.advance(state.values)
-        if not np.all(np.isfinite(new)):
+    def step(self, values: np.ndarray) -> np.ndarray:
+        """Advance values by dt; nonnegative input stays nonnegative or raises."""
+        new = self.advance(values)
+        if not np.isfinite(new).all():
             raise NumericsError("integrator produced non-finite values")
-        if np.all(state.values >= 0.0):
+        if values.min(initial=0.0) >= 0.0:
             low = float(new.min(initial=0.0))
             if low < POSITIVITY_FLOOR:
                 raise PropertyViolation(
                     f"positivity violated: minimum {low:.3e} below {POSITIVITY_FLOOR}")
             if low < 0.0:
                 new = np.maximum(new, 0.0)
-        return state.copy_with(new, time=state.time + self.dt)
+        return new
 
 
 @dataclass
@@ -164,39 +173,39 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
     n_steps = step_count(config.t_end, dt)
     stepper = Stepper(bundle, dt, config.scheme)
     mesh = bundle.mesh
+    xc, dx = mesh.centers, mesh.widths
     orders = (0.0, 1.0, 2.0, float(config.moment_order))
+    powers = np.stack([xc ** m for m in orders])     # recording weights
+    weighted, buffer, tail_cells = np.empty_like(powers), np.empty_like(xc), mesh.tail_slice()
 
-    times = np.empty(n_steps + 1)
-    series = {m: np.empty(n_steps + 1) for m in orders}
-    drift = np.empty(n_steps + 1)
-    tail = np.empty(n_steps + 1)
+    times, tail = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    sums = np.empty((len(orders), n_steps + 1))
     dist = np.empty(n_steps + 1) if reference is not None else None
 
-    state = initial
-    mass0 = mass(initial)
-    stored = []
-    min_seen = float(initial.values.min(initial=0.0))
-
-    def record(k: int, st: State):
-        times[k] = st.time
-        for m in orders:
-            series[m][k] = moment_of(mesh, st.values, m)
-        drift[k] = 0.0 if mass0 == 0.0 else (series[1.0][k] - mass0) / mass0
-        tail[k] = tail_mass_fraction(st)
+    def record(k: int, values: np.ndarray, nonneg: bool):
+        np.multiply(np.multiply(powers, values, out=weighted), dx, out=weighted)
+        sums[:, k] = weighted.sum(axis=1)
+        absolute = weighted[1] if nonneg else xc * np.abs(values) * dx
+        total = sums[1, k] if nonneg else absolute.sum()    # |values| = values if nonneg
+        tail[k] = 0.0 if total == 0.0 else absolute[tail_cells].sum() / total
         if dist is not None:
-            dist[k] = x1_distance_of(mesh, st.values, reference.values)
+            gap = np.abs(np.subtract(values, reference.values, out=buffer), out=buffer)
+            dist[k] = np.multiply(np.multiply(gap, xc, out=gap), dx, out=gap).sum()
 
-    record(0, state)
+    values, times[0] = initial.values, initial.time
+    low = min_seen = float(values.min(initial=0.0))
+    record(0, values, low >= 0.0)
+    stored = []
     for k in range(1, n_steps + 1):
-        state = stepper.step(state)
-        min_seen = min(min_seen, float(state.values.min(initial=0.0)))
-        record(k, state)
-        if k % config.output_every == 0:
-            stored.append(state)
-    if not stored or stored[-1] is not state:
-        stored.append(state)
+        values, times[k] = stepper.step(values), times[k - 1] + dt
+        if low < 0.0:   # signed data; step() keeps nonnegative data nonnegative
+            min_seen = min(min_seen, low := float(values.min(initial=0.0)))
+        record(k, values, low >= 0.0)
+        if k % config.output_every == 0 or k == n_steps:
+            stored.append(State(values, mesh, float(times[k])))
 
-    return Trajectory(times=times, moments=series, mass_drift_rel=drift,
-                      tail_fraction=tail, dist_ref=dist, states=stored,
-                      final=state, min_value=min_seen,
-                      reaction_cfl=stepper.reaction_cfl)
+    mass0 = moment_of(mesh, initial.values, 1.0)
+    drift = np.zeros(n_steps + 1) if mass0 == 0.0 else (sums[1] - mass0) / mass0
+    return Trajectory(times=times, moments=dict(zip(orders, sums)), mass_drift_rel=drift,
+                      tail_fraction=tail, dist_ref=dist, states=stored, final=stored[-1],
+                      min_value=min_seen, reaction_cfl=stepper.reaction_cfl)

@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from fragdiff import (ConfigError, ConstantRate, IntegratorConfig, PowerLawKernel, State,
-                      Stepper, apply_generator, assemble_bundle, default_dt,
+from fragdiff import (ConfigError, ConstantRate, IntegratorConfig, PowerLawKernel,
+                      PowerRate, PropertyViolation, State, Stepper,
+                      apply_generator, assemble_bundle, build_mesh, default_dt,
                       evolve, heat_apply_exact, mass, moment, solve_steady,
-                      x1_distance)
+                      tail_mass_fraction, x1_distance)
+from fragdiff.mesh import moment_of, x1_distance_of
 from conftest import exact_equilibrium
 
 
@@ -26,8 +31,8 @@ def test_step_consistency_with_generator(mitosis_512):
     gen = apply_generator(mitosis_512, state).values
     errors = []
     for dt in (1e-3, 5e-4):
-        moved = Stepper(mitosis_512, dt).step(state)
-        errors.append(np.max(np.abs((moved.values - state.values) / dt - gen)))
+        moved = Stepper(mitosis_512, dt).step(state.values)
+        errors.append(np.max(np.abs((moved - state.values) / dt - gen)))
     assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.2)
 
 
@@ -41,10 +46,10 @@ def test_pure_heat_march_matches_exact_propagator(mesh_512):
     errors = []
     for dt in (0.025, 0.0125):
         stepper = Stepper(bundle, dt)
-        current = state
+        current = state.values
         for _ in range(int(round(horizon / dt))):
             current = stepper.step(current)
-        errors.append(x1_distance(current, exact))
+        errors.append(x1_distance(state.copy_with(current), exact))
     assert errors[0] < 0.02
     assert errors[0] / errors[1] > 1.6       # dominated by the O(dt) term
 
@@ -53,8 +58,8 @@ def test_equilibrium_is_stationary(mitosis_2048):
     mesh = mitosis_2048.mesh
     psi = State(values=exact_equilibrium(mesh.centers), mesh=mesh)
     dt = 1e-3
-    moved = Stepper(mitosis_2048, dt).step(psi)
-    drift = x1_distance(moved, psi) / dt
+    moved = Stepper(mitosis_2048, dt).step(psi.values)
+    drift = x1_distance(psi.copy_with(moved), psi) / dt
     # residual-speed of the exact profile is bounded by scheme + space error
     assert drift < 5e-4
 
@@ -116,6 +121,98 @@ def test_positivity_warning_on_large_dt(linear_rate_512):
         Stepper(linear_rate_512, dt=0.1, scheme="imex_euler")
 
 
+@pytest.fixture(scope="module")
+def fine_geometric():
+    """Linear rate on a mesh whose smallest cell (2.47e-3) makes the explicit
+    diffusion half step of crank_nicolson_imex stiff at dt = 1e-5."""
+    mesh = build_mesh(40.0, 512, "geometric", ratio=1.01)
+    return assemble_bundle(mesh, PowerRate(1.0), PowerLawKernel(0.0))
+
+
+def test_crank_nicolson_warns_beyond_its_positivity_budget(fine_geometric):
+    with pytest.warns(UserWarning, match="positivity budget 2.46"):
+        stepper = Stepper(fine_geometric, 1e-5, "crank_nicolson_imex")
+    assert stepper.positivity_budget == pytest.approx(2.46, abs=0.005)
+    # the warning is earned: unit-scale data goes negative within 20 steps
+    values = np.exp(-fine_geometric.mesh.centers)
+    with pytest.raises(PropertyViolation, match="positivity violated"):
+        for _ in range(20):
+            values = stepper.step(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scheme in ("imex_euler", "fully_implicit"):
+            assert Stepper(fine_geometric, 1e-5, scheme).positivity_budget < 1.0
+
+
+@pytest.mark.parametrize("scheme, order", [("imex_euler", 0.9),
+                                           ("crank_nicolson_imex", 1.9),
+                                           ("fully_implicit", 0.9)])
+def test_time_order(scheme, order):
+    # against the exact semi-discrete flow exp(T G) of the linear-rate generator
+    mesh = build_mesh(40.0, 256)
+    bundle = assemble_bundle(mesh, PowerRate(1.0), PowerLawKernel(0.0))
+    state = unit_mass_exponential(mesh)
+    exact = expm(0.5 * bundle.dense()) @ state.values
+    errors = []
+    for dt in (5e-4, 2.5e-4, 1.25e-4, 6.25e-5):
+        config = IntegratorConfig(scheme=scheme, dt=dt, t_end=0.5, output_every=10 ** 6)
+        errors.append(x1_distance_of(mesh, evolve(bundle, state, config).final.values, exact))
+    observed = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(observed >= order), observed
+
+
+def _assert_records_equal_public_reductions(trajectory, initial, reference=None):
+    """Every recorded value equals, with ==, the public reduction of its state."""
+    mesh = initial.mesh
+    states = [initial] + trajectory.states
+    assert len(states) == trajectory.times.size
+    for k, state in enumerate(states):
+        assert trajectory.times[k] == state.time
+        for m, series in trajectory.moments.items():
+            assert series[k] == moment_of(mesh, state.values, m)
+        assert trajectory.tail_fraction[k] == tail_mass_fraction(state)
+        if reference is not None:
+            assert trajectory.dist_ref[k] == x1_distance_of(mesh, state.values,
+                                                            reference.values)
+
+
+def test_recording_nonnegative_geometric():
+    mesh = build_mesh(30.0, 300, "geometric", ratio=1.01)
+    bundle = assemble_bundle(mesh, PowerRate(1.0), PowerLawKernel(-0.5))
+    initial = State(values=np.exp(-(mesh.centers - 3.0) ** 2), mesh=mesh)
+    reference = solve_steady(bundle).state
+    config = IntegratorConfig(dt=1e-3, t_end=0.05, moment_order=2.5)
+    trajectory = evolve(bundle, initial, config, reference=reference)
+    assert trajectory.tail_fraction[-1] > 0.0
+    _assert_records_equal_public_reductions(trajectory, initial, reference)
+
+
+def test_recording_signed_data(mitosis_512):
+    mesh = mitosis_512.mesh
+    initial = State(values=np.sin(mesh.centers) * np.exp(-0.3 * mesh.centers),
+                    mesh=mesh, time=0.25)
+    reference = solve_steady(mitosis_512).state
+    config = IntegratorConfig(dt=1e-3, t_end=0.05, moment_order=0.5)
+    trajectory = evolve(mitosis_512, initial, config, reference=reference)
+    assert all(state.values.min() < 0.0 for state in trajectory.states)
+    _assert_records_equal_public_reductions(trajectory, initial, reference)
+
+
+def test_recording_of_a_clamped_run(fine_geometric):
+    # data small enough that the undershoot beyond the CN budget stays
+    # within the positivity floor, so step() clamps instead of raising
+    mesh = fine_geometric.mesh
+    initial = State(values=1e-12 * np.exp(-mesh.centers), mesh=mesh)
+    with pytest.warns(UserWarning, match="positivity budget"):
+        stepper = Stepper(fine_geometric, 1e-5, "crank_nicolson_imex")
+        config = IntegratorConfig(scheme="crank_nicolson_imex", dt=1e-5, t_end=2e-4)
+        trajectory = evolve(fine_geometric, initial, config)
+    assert stepper.advance(initial.values).min() < 0.0       # clamped at step 1
+    assert trajectory.states[0].values.min() >= 0.0
+    assert trajectory.min_value == 0.0
+    _assert_records_equal_public_reductions(trajectory, initial)
+
+
 def test_moment_ceiling_along_trajectory(linear_rate_512):
     from fragdiff import moment_ceiling
     ceiling = moment_ceiling(linear_rate_512.rate, linear_rate_512.kernel,
@@ -133,12 +230,11 @@ def test_difference_contraction(mitosis_512, rng):
     stepper = Stepper(mitosis_512, 2e-3)
     u = rng.random(mesh.n_cells) * np.exp(-0.3 * mesh.centers)
     v = rng.random(mesh.n_cells) * np.exp(-0.3 * mesh.centers)
-    su, sv = State(values=u, mesh=mesh), State(values=v, mesh=mesh)
-    previous = x1_distance(su, sv)
+    previous = x1_distance_of(mesh, u, v)
     for _ in range(100):
-        su = stepper.step(su)
-        sv = stepper.step(sv)
-        current = x1_distance(su, sv)
+        u = stepper.step(u)
+        v = stepper.step(v)
+        current = x1_distance_of(mesh, u, v)
         assert current <= previous * (1 + 1e-12)
         previous = current
 
