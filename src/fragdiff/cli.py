@@ -38,11 +38,9 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_moments_csv(path: Path, trajectory, every: int) -> None:
+def _write_moments_csv(path: Path, trajectory, every: int, order: float) -> None:
     lines = ["t,M0,M1,M2,Mm,dist_ref_X1,mass_drift_rel,tail_mass_frac"]
     n = trajectory.times.size
-    orders = sorted(trajectory.moments)
-    m_high = orders[-1]
     rows = list(range(0, n, every))
     if rows[-1] != n - 1:
         rows.append(n - 1)
@@ -53,7 +51,7 @@ def _write_moments_csv(path: Path, trajectory, every: int) -> None:
             _fmt(trajectory.moments[0.0][k]),
             _fmt(trajectory.moments[1.0][k]),
             _fmt(trajectory.moments[2.0][k]),
-            _fmt(trajectory.moments[m_high][k]),
+            _fmt(trajectory.moments[order][k]),
             _fmt(dist),
             _fmt(trajectory.mass_drift_rel[k]),
             _fmt(trajectory.tail_fraction[k]),
@@ -115,8 +113,10 @@ def _task_evolve(cfg: RunConfig, bundle, out: Path, diag: _Diagnostics) -> None:
         reference = steady.state.copy_with(steady.state.values * mass(initial))
     except (NumericsError, PropertyViolation):
         diag.add("reference", available=False)
-    trajectory = evolve(bundle, initial, build_integrator(cfg), reference=reference)
-    _write_moments_csv(out / "moments.csv", trajectory, cfg["time"]["output_every"])
+    integrator = build_integrator(cfg)
+    trajectory = evolve(bundle, initial, integrator, reference=reference)
+    _write_moments_csv(out / "moments.csv", trajectory, integrator.output_every,
+                       integrator.moment_order)
     _write_profile_csv(out / "profile.csv", trajectory.final)
     diag.add("evolve", steps=int(trajectory.times.size - 1),
              max_mass_drift=trajectory.max_drift,

@@ -43,9 +43,11 @@ def power_integral(lo, hi, q: float):
         return (hi ** (q + 1.0) - lo ** (q + 1.0)) / (q + 1.0)
 
 
-def _gauss_on(lo: float, hi: float, fn) -> float:
+def _gauss_on(lo, hi, fn):
+    """Elementwise 64-node Gauss integral of fn over [lo, hi]; fn gets nodes (..., 64)."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return half * float(np.dot(_GAUSS_WEIGHTS, fn(mid + half * _GAUSS_NODES)))
+    return half * (fn(mid[..., None] + half[..., None] * _GAUSS_NODES) @ _GAUSS_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -62,16 +64,11 @@ class RateModel:
         """Per-cell integrals of a(y) * y^q; Gauss fallback, exact in subclasses.
 
         Entries whose integrand is not integrable (first cell with q <= -1)
-        are only meaningful when the caller never uses them.
+        come out infinite; callers that skip the first cell never read them.
         """
         lo, hi = edges[:-1], edges[1:]
-        out = np.empty(lo.size)
-        for i in range(lo.size):
-            if lo[i] <= 0.0 and q <= -1.0:
-                out[i] = np.inf
-                continue
-            out[i] = _gauss_on(lo[i], hi[i], lambda y: self(y) * y ** q)
-        return out
+        out = _gauss_on(lo, hi, lambda y: self(y) * y ** q)
+        return np.where((lo <= 0.0) & (q <= -1.0), np.inf, out)
 
     def threshold_crossing(self, level: float, x_hi: float) -> float | None:
         """Smallest x with a >= level on [x, x_hi], or None if never reached.
@@ -231,13 +228,6 @@ class RegularizedRate(RateModel):
         return self.base.cell_integrals(edges, q) + \
             power_integral(edges[:-1], edges[1:], q + 1.0) / self.n
 
-    def threshold_crossing(self, level, x_hi):
-        base = self.base.threshold_crossing(level, x_hi)
-        numeric = RateModel.threshold_crossing(self, level, x_hi)
-        if base is not None and numeric is not None:
-            return min(base, numeric)
-        return numeric if numeric is not None else base
-
     def describe(self):
         return {"kind": "regularized", "n": self.n, "base": self.base.describe()}
 
@@ -313,6 +303,9 @@ class PowerLawKernel(DaughterKernel):
 class CustomKernel(DaughterKernel):
     """Daughter distribution given as a callable; integrals by 64-node Gauss.
 
+    `fn(x, y)` gets an array `x` of any shape and a float donor size `y`, and
+    returns b(x, y) elementwise; each integral is one vectorised call.
+
     The mass condition is verified at construction on a log grid of donor
     sizes and the kernel is rejected (never silently rescaled) on failure.
     """
@@ -335,16 +328,10 @@ class CustomKernel(DaughterKernel):
         return np.where(x < np.asarray(y), out, 0.0)
 
     def fragment_mass_below(self, z, y):
-        z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.array([_gauss_on(0.0, zi, lambda x: x * self.density(x, y))
-                        for zi in z_arr])
-        return out if np.ndim(z) else float(out[0])
+        return _gauss_on(0.0, z, lambda x: x * self.density(x, y))
 
     def fragment_moment(self, m, y):
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.array([_gauss_on(0.0, yi, lambda x: x ** m * self.density(x, yi))
-                        for yi in y_arr])
-        return out if np.ndim(y) else float(out[0])
+        return _gauss_on(0.0, y, lambda x: x ** m * self.density(x, y))
 
     def describe(self):
         return {"kind": "custom", "name": self.name}

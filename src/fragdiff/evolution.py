@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, NumericsError, PropertyViolation
 # re-exported: evolve() records what tail_mass_fraction and x1_distance_of give
 from .mesh import (State, moment_of, require_moment_order,  # noqa: F401
-                   tail_mass_fraction, x1_distance_of)
+                   require_same_mesh, tail_mass_fraction, x1_distance_of)
 from .operators import OperatorBundle, factor
 
 SCHEMES = ("imex_euler", "crank_nicolson_imex", "fully_implicit")
@@ -168,6 +168,9 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
     `reference` adds an X1 distance column (convergence diagnostics).  States
     themselves are kept only every `output_every` steps to bound memory.
     """
+    require_same_mesh(bundle.mesh, initial, "initial state")
+    if reference is not None:
+        require_same_mesh(bundle.mesh, reference, "reference state")
     dt = config.dt if config.dt is not None else \
         config.t_end / math.ceil(config.t_end / default_dt(bundle))
     n_steps = step_count(config.t_end, dt)

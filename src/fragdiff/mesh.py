@@ -142,9 +142,14 @@ def x1_distance_of(mesh: Mesh, u: np.ndarray, v: np.ndarray) -> float:
     return float(np.sum(mesh.centers * np.abs(u - v) * mesh.widths))
 
 
+def require_same_mesh(mesh: Mesh, state: State, what: str = "state") -> None:
+    """Raise ConfigError unless `state` lives on `mesh` (the same edges)."""
+    if state.mesh is not mesh and not np.array_equal(state.mesh.edges, mesh.edges):
+        raise ConfigError(f"{what} lives on a different mesh")
+
+
 def x1_distance(a: State, b: State) -> float:
-    if a.mesh is not b.mesh and not np.array_equal(a.mesh.edges, b.mesh.edges):
-        raise ConfigError("states live on different meshes")
+    require_same_mesh(a.mesh, b)
     return x1_distance_of(a.mesh, a.values, b.values)
 
 

@@ -41,7 +41,7 @@ from scipy.linalg import lapack
 
 from .coefficients import DaughterKernel, PowerLawKernel, RateModel
 from .errors import ConfigError, NumericsError, PropertyViolation
-from .mesh import Mesh, State
+from .mesh import Mesh, State, require_same_mesh
 
 RIGHT_BCS = ("noflux", "dirichlet")
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(24)
@@ -173,26 +173,18 @@ def _assemble_birth_custom(mesh: Mesh, rate: RateModel,
     applied = np.zeros((n, n))
     death = np.zeros(n)
     for j in range(n):
-        yq = y_nodes[j]
-        wq = y_weights[j] * a_nodes[j]
-        mass_to = np.zeros(j + 1)
-        for i in range(j):
-            frac = np.array([float(kernel.fragment_mass_below(edges[i + 1], y))
-                             - float(kernel.fragment_mass_below(edges[i], y))
-                             for y in yq])
-            mass_to[i] = float(np.dot(wq, frac))
-        self_ret = float(np.dot(wq, np.array(
-            [float(kernel.fragment_mass_below(y, y))
-             - float(kernel.fragment_mass_below(edges[j], y)) for y in yq])))
-        raw_total = mass_to[:j].sum() + self_ret
+        # fragment mass below edges 0..j and below the donor itself, per node:
+        # its differences are the mass sent to cells 0..j-1 and kept in cell j
+        below = np.array([kernel.fragment_mass_below(np.append(edges[:j + 1], y), y)
+                          for y in y_nodes[j]])
+        mass_to = (y_weights[j] * a_nodes[j]) @ np.diff(below, axis=1)
+        raw_total = mass_to.sum()
         if raw_total <= 0.0:
             continue
         # enforce exact balance against the quadrature defect
-        scale = mass_prod[j] / raw_total
-        mass_to *= scale
-        self_ret *= scale
+        mass_to *= mass_prod[j] / raw_total
         applied[:j, j] = mass_to[:j] / (xc[:j] * dx[:j])
-        death[j] = (mass_prod[j] - self_ret) / (xc[j] * dx[j])
+        death[j] = (mass_prod[j] - mass_to[j]) / (xc[j] * dx[j])
     if np.any(applied < 0) or np.any(death < -1e-14):
         raise PropertyViolation("negative birth weight from inadmissible coefficients")
     return BirthOperator(mesh=mesh, death=np.maximum(death, 0.0),
@@ -309,9 +301,7 @@ def assemble_bundle(mesh: Mesh, rate: RateModel, kernel: DaughterKernel,
 
 
 def apply_generator(bundle: OperatorBundle, state: State) -> State:
-    if state.mesh is not bundle.mesh and \
-            not np.array_equal(state.mesh.edges, bundle.mesh.edges):
-        raise ConfigError("state mesh does not match operator mesh")
+    require_same_mesh(bundle.mesh, state)
     return state.copy_with(bundle.apply(state.values))
 
 

@@ -330,3 +330,19 @@ def test_module_runs_as_cli():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert "unknown preset 'nope'" in proc.stderr
+
+
+def test_moments_csv_writes_the_configured_order(tmp_path):
+    # Mm is the configured moment, also below order 2
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[run]\npreset = mitosis\ntask = evolve\n[domain]\ncells = 64\n"
+                        "[time]\nt_end = 1.0\nmoment_order = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "--out", str(out), "--quiet"]) == 0
+    rows = [[float(v) for v in row.split(",")]
+            for row in (out / "moments.csv").read_text().splitlines()[1:]]
+    x, phi = np.array([[float(v) for v in row.split(",")] for row in
+                       (out / "profile.csv").read_text().splitlines()[1:]]).T
+    mesh = build_bundle(parse_config_text(cfg_file.read_text())).mesh
+    assert rows[-1][4] == pytest.approx(np.sum(x ** 0.5 * phi * mesh.widths), rel=1e-12)
+    assert rows[-1][4] != pytest.approx(rows[-1][3], rel=1e-3)     # not M2

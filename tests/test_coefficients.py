@@ -114,6 +114,15 @@ def test_table_rate_interpolates():
     edges = np.array([0.5, 1.5])
     val = rate.cell_integrals(edges, 0.0)[0]
     assert val == pytest.approx(3.0, rel=1e-10)   # trapezoid of linear data
+    # the Gauss fallback on a mesh from 0: a = 1 + x has a closed form
+    line = TableRate(np.array([0.0, 10.0]), np.array([1.0, 11.0]))
+    edges = np.linspace(0.0, 8.0, 17)
+    for q in (0.0, -1.0, -1.5):
+        got = line.cell_integrals(edges, q)
+        exact = ShiftedPowerRate(1.0, 1.0).cell_integrals(edges, q)
+        first = 0 if q > -1.0 else 1
+        assert q > -1.0 or got[0] == np.inf
+        np.testing.assert_allclose(got[first:], exact[first:], rtol=1e-12, atol=0.0)
 
 
 def test_regularized_rate_decreases_to_base():
@@ -152,6 +161,9 @@ def test_moment_ceiling_linear_rate():
 
 def test_moment_ceiling_threshold_examples():
     assert PowerRate(2.0).threshold_crossing(1.0, 40.0) == pytest.approx(1.0, abs=1e-10)
+    # x + x/4 reaches 1 at 0.8 (numeric fallback)
+    assert RegularizedRate(PowerRate(1.0), 4).threshold_crossing(1.0, 40.0) == \
+        pytest.approx(0.8, abs=1e-10)
     with pytest.raises(NotApplicableError):
         moment_ceiling(ConstantRate(0.5), PowerLawKernel(0.0), 3.0, 40.0)
 

@@ -295,3 +295,20 @@ def test_default_dt_run_ends_at_t_end(mitosis_512):
                  IntegratorConfig(t_end=t_end))
     assert run.times[-1] == pytest.approx(t_end, rel=1e-12)
     assert np.all(np.diff(run.times) <= cap * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("initial_mesh,reference_mesh,match", [
+    (None, build_mesh(40.0, 128), "reference state"),
+    (None, build_mesh(40.0, 64, "geometric", ratio=1.05), "reference state"),
+    (build_mesh(40.0, 64, "geometric", ratio=1.05), None, "initial state"),
+], ids=["reference-128-cells", "reference-same-n-geometric", "initial-geometric"])
+def test_evolve_rejects_states_on_another_mesh(initial_mesh, reference_mesh, match):
+    bundle = assemble_bundle(build_mesh(40.0, 64), ConstantRate(1.0), PowerLawKernel(0.0))
+    initial = unit_mass_exponential(initial_mesh or bundle.mesh)
+    reference = None if reference_mesh is None else unit_mass_exponential(reference_mesh)
+    with pytest.raises(ConfigError, match=f"{match} lives on a different mesh"):
+        evolve(bundle, initial, IntegratorConfig(dt=0.01, t_end=0.1), reference=reference)
+    # an equal mesh built separately is the same mesh
+    same = build_mesh(40.0, 64)
+    evolve(bundle, unit_mass_exponential(same), IntegratorConfig(dt=0.01, t_end=0.1),
+           reference=unit_mass_exponential(same))

@@ -117,17 +117,19 @@ def test_birth_per_donor_identity(mitosis_512):
     assert np.allclose(column_mass, death_mass, rtol=1e-12, atol=1e-15)
 
 
-def test_custom_kernel_birth_matches_powerlaw():
-    mesh = build_mesh(20.0, 96)
-    exactk = assemble_bundle(mesh, ConstantRate(1.0), PowerLawKernel(0.0))
+@pytest.mark.parametrize("rate", [ConstantRate(1.0), PowerRate(1.0)], ids=["constant", "power"])
+@pytest.mark.parametrize("mesh", [build_mesh(20.0, 96),
+                                  build_mesh(20.0, 96, "geometric", ratio=1.05)],
+                         ids=["uniform", "geometric"])
+def test_custom_kernel_birth_matches_powerlaw(rate, mesh):
+    # the binary kernel written as a callable reproduces the closed-form weights
+    exactk = assemble_bundle(mesh, rate, PowerLawKernel(0.0))
     custom = assemble_bundle(
-        mesh, ConstantRate(1.0),
-        CustomKernel(lambda x, y: 2.0 / y * np.ones_like(x), name="binary"))
+        mesh, rate, CustomKernel(lambda x, y: 2.0 / y * np.ones_like(x), name="binary"))
+    for got, want in ((custom.birth.applied_matrix(), exactk.birth.applied_matrix()),
+                      (custom.death, exactk.death)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     phi = mesh.centers * np.exp(-mesh.centers)
-    a = exactk.apply(phi)
-    b = custom.apply(phi)
-    scale = np.max(np.abs(a))
-    assert np.max(np.abs(a - b)) < 1e-6 * scale
     xc, dx = mesh.centers, mesh.widths
     born = np.sum(xc * custom.birth.apply(phi) * dx)
     died = np.sum(xc * custom.death * phi * dx)
