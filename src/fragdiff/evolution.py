@@ -12,7 +12,8 @@ the truncation boundary.  Schemes:
 A `Stepper` factors its system once: the diffusion system of the IMEX
 schemes through `Tridiagonal.factor`, the whole generator through `factor`.
 `Stepper.step` maps cell values to cell values; `evolve` steps raw arrays
-and takes every recorded reduction from weights built once per run.
+and takes every recorded reduction as a dot product with a weight row
+built once per run.
 
 imex_euler preserves nonnegativity when dt * max(death) <= 1 (the right-hand
 side stays nonnegative and the diffusion system is an M-matrix); the default
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError, PropertyViolation
 # re-exported: evolve() records what tail_mass_fraction and x1_distance_of give
-from .mesh import (State, moment_of, require_moment_order,  # noqa: F401
+from .mesh import (State, moment_of, moment_row, require_moment_order,  # noqa: F401
                    require_same_mesh, tail_mass_fraction, x1_distance_of)
 from .operators import OperatorBundle, factor
 
@@ -176,24 +177,26 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
     n_steps = step_count(config.t_end, dt)
     stepper = Stepper(bundle, dt, config.scheme)
     mesh = bundle.mesh
-    xc, dx = mesh.centers, mesh.widths
     orders = (0.0, 1.0, 2.0, float(config.moment_order))
-    powers = np.stack([xc ** m for m in orders])     # recording weights
-    weighted, buffer, tail_cells = np.empty_like(powers), np.empty_like(xc), mesh.tail_slice()
+    # the weight rows of the public reductions, dotted one at a time (a
+    # (4, N) matrix-vector product can differ from them in the last bit)
+    rows = [moment_row(mesh, m) for m in orders]
+    mass_row, tail_cells = rows[1], mesh.tail_slice()
+    tail_row, buffer = mass_row[tail_cells], np.empty(mesh.n_cells)
 
     times, tail = np.empty(n_steps + 1), np.empty(n_steps + 1)
     sums = np.empty((len(orders), n_steps + 1))
     dist = np.empty(n_steps + 1) if reference is not None else None
 
     def record(k: int, values: np.ndarray, nonneg: bool):
-        np.multiply(np.multiply(powers, values, out=weighted), dx, out=weighted)
-        sums[:, k] = weighted.sum(axis=1)
-        absolute = weighted[1] if nonneg else xc * np.abs(values) * dx
-        total = sums[1, k] if nonneg else absolute.sum()    # |values| = values if nonneg
-        tail[k] = 0.0 if total == 0.0 else absolute[tail_cells].sum() / total
+        for i, row in enumerate(rows):
+            sums[i, k] = row @ values
+        absolute = values if nonneg else np.abs(values)
+        total = sums[1, k] if nonneg else mass_row @ absolute
+        tail[k] = 0.0 if total == 0.0 else tail_row @ absolute[tail_cells] / total
         if dist is not None:
-            gap = np.abs(np.subtract(values, reference.values, out=buffer), out=buffer)
-            dist[k] = np.multiply(np.multiply(gap, xc, out=gap), dx, out=gap).sum()
+            dist[k] = mass_row @ np.abs(np.subtract(values, reference.values, out=buffer),
+                                        out=buffer)
 
     values, times[0] = initial.values, initial.time
     low = min_seen = float(values.min(initial=0.0))

@@ -7,6 +7,8 @@ density value per cell.  All integral quantities use the midpoint rule
     integral of x^m * phi  ~  sum_i  xbar_i^m * phi_i * dx_i,
 
 which is exact for linear integrands and second-order accurate otherwise.
+Each such sum is one dot product of the values with a weight row
+(`moment_row`, `norm_row`), the same formula wherever it is taken.
 Moments of order m are defined for m > -1 only; below that the weight is
 not integrable at the origin.
 """
@@ -111,10 +113,15 @@ def require_moment_order(m: float) -> None:
         raise UnsupportedOrderError(f"moment_order must exceed -1, got {m}")
 
 
+def moment_row(mesh: Mesh, m: float) -> np.ndarray:
+    """Weights xbar_i^m dx_i: every moment is one dot product with this row."""
+    return mesh.centers ** m * mesh.widths
+
+
 def moment_of(mesh: Mesh, values: np.ndarray, m: float) -> float:
     """Signed moment sum_i xbar_i^m values_i dx_i; requires m > -1."""
     require_moment_order(m)
-    return float(np.sum(mesh.centers ** m * values * mesh.widths))
+    return float(moment_row(mesh, m) @ values)
 
 
 def moment(state: State, m: float) -> float:
@@ -126,12 +133,16 @@ def mass(state: State) -> float:
     return moment(state, 1.0)
 
 
-def weighted_norm_of(mesh: Mesh, values: np.ndarray, m: float) -> float:
-    """Norm with weight x + x^m (equal to |.|_{X_1} + |.|_{X_m})."""
+def norm_row(mesh: Mesh, m: float) -> np.ndarray:
+    """Weights (xbar_i + xbar_i^m) dx_i of the X_1 + X_m norm; needs m >= 1."""
     if m < 1.0:
         raise UnsupportedOrderError(f"weighted norm needs m >= 1, got {m}")
-    w = mesh.centers + mesh.centers ** m
-    return float(np.sum(w * np.abs(values) * mesh.widths))
+    return (mesh.centers + mesh.centers ** m) * mesh.widths
+
+
+def weighted_norm_of(mesh: Mesh, values: np.ndarray, m: float) -> float:
+    """Norm with weight x + x^m (equal to |.|_{X_1} + |.|_{X_m})."""
+    return float(norm_row(mesh, m) @ np.abs(values))
 
 
 def weighted_norm(state: State, m: float) -> float:
@@ -139,7 +150,7 @@ def weighted_norm(state: State, m: float) -> float:
 
 
 def x1_distance_of(mesh: Mesh, u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.sum(mesh.centers * np.abs(u - v) * mesh.widths))
+    return float(moment_row(mesh, 1.0) @ np.abs(u - v))
 
 
 def require_same_mesh(mesh: Mesh, state: State, what: str = "state") -> None:
@@ -156,8 +167,8 @@ def x1_distance(a: State, b: State) -> float:
 def tail_mass_fraction(state: State, fraction: float = 0.05) -> float:
     """Share of |mass| sitting in the outermost cells; truncation-leak monitor."""
     sl = state.mesh.tail_slice(fraction)
-    total = np.sum(state.mesh.centers * np.abs(state.values) * state.mesh.widths)
+    row, absolute = moment_row(state.mesh, 1.0), np.abs(state.values)
+    total = row @ absolute
     if total == 0.0:
         return 0.0
-    tail = np.sum((state.mesh.centers * np.abs(state.values) * state.mesh.widths)[sl])
-    return float(tail / total)
+    return float(row[sl] @ absolute[sl] / total)

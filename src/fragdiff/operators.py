@@ -49,11 +49,17 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(24)
 
 @dataclass(frozen=True)
 class Tridiagonal:
-    """Tridiagonal operator stored as bands (lower/diag/upper)."""
+    """Tridiagonal operator stored as bands (lower/diag/upper).
+
+    `symmetriser` holds positive weights w that make diag(w) @ this
+    symmetric, w[:-1] * upper == w[1:] * lower; the flux-form diffusion is
+    self-adjoint in the dx-weighted inner product, so w is the cell widths.
+    """
 
     lower: np.ndarray   # sub-diagonal, length n-1
     diag: np.ndarray    # length n
     upper: np.ndarray   # super-diagonal, length n-1
+    symmetriser: np.ndarray     # length n
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
@@ -62,14 +68,21 @@ class Tridiagonal:
         return out
 
     def factor(self, alpha: float, beta: float) -> Callable[[np.ndarray], np.ndarray]:
-        """Factor alpha*I + beta*this once (LAPACK gttrf); return solve(rhs)."""
-        dl, d, du, du2, piv, info = lapack.dgttrf(
-            beta * self.lower, alpha + beta * self.diag, beta * self.upper)
+        """Factor alpha*I + beta*this once; return solve(rhs).
+
+        The symmetric diag(w)(alpha I + beta this) is factored as L D L^T
+        (LAPACK pttrf, no pivoting) and solve returns pttrs(w * rhs).  Raises
+        NumericsError unless that matrix is positive definite.
+        """
+        w = self.symmetriser
+        d, e, info = lapack.dpttrf(w * (alpha + beta * self.diag),
+                                   beta * (w[:-1] * self.upper))
         if info != 0:
-            raise NumericsError(f"tridiagonal system is singular (LAPACK info {info})")
+            raise NumericsError(
+                f"tridiagonal system is not positive definite (LAPACK info {info})")
 
         def solve(rhs: np.ndarray) -> np.ndarray:
-            return lapack.dgttrs(dl, d, du, du2, piv, rhs)[0]
+            return lapack.dpttrs(d, e, w * rhs, overwrite_b=True)[0]
 
         return solve
 
@@ -98,7 +111,7 @@ def assemble_diffusion(mesh: Mesh, right_bc: str = "noflux",
     if right_bc == "dirichlet":
         diag[-1] -= 1.0 / ((mesh.x_max - xc[-1]) * dx[-1])
     return Tridiagonal(lower=diffusion_rate * lower, diag=diffusion_rate * diag,
-                       upper=diffusion_rate * upper)
+                       upper=diffusion_rate * upper, symmetriser=dx)
 
 
 @dataclass(frozen=True)
@@ -121,12 +134,15 @@ class BirthOperator:
         return self.receiver is not None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        if self.separable:
-            suffix = np.cumsum((self.donor * v)[::-1])[::-1]
-            out = np.zeros_like(v)
-            out[:-1] = self.receiver[:-1] * suffix[1:]
-            return out
-        return self.dense_applied @ v
+        """Gain term B v, always float64; the suffix sums run in one buffer."""
+        if not self.separable:
+            return self.dense_applied @ v
+        out = np.multiply(self.donor, v, out=np.empty(self.donor.shape))
+        suffix = out[::-1]
+        np.cumsum(suffix, out=suffix)
+        np.multiply(self.receiver[:-1], out[1:], out=out[:-1])
+        out[-1] = 0.0
+        return out
 
     def applied_matrix(self) -> np.ndarray:
         """Dense matrix K with (B phi) = K phi (strictly upper triangle)."""
@@ -217,7 +233,9 @@ class OperatorBundle:
         return self.diffusion.apply(v) - self.death * v + self.birth.apply(v)
 
     def apply_reaction(self, v: np.ndarray) -> np.ndarray:
-        return self.birth.apply(v) - self.death * v
+        out = self.birth.apply(v)
+        out -= self.death * v
+        return out
 
     def dense(self) -> np.ndarray:
         """Dense generator: the custom-kernel path of `factor` and a test oracle."""

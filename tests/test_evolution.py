@@ -102,14 +102,19 @@ def test_positivity_random_data(linear_rate_512, rng):
 @pytest.mark.parametrize("scheme", ["imex_euler", "crank_nicolson_imex"])
 def test_imex_schemes_factor_diffusion_once(mitosis_512, monkeypatch, scheme):
     from fragdiff import operators
-    calls = []
-    dgttrf = operators.lapack.dgttrf
+    calls, lapack = [], operators.lapack
+    dpttrf, dgttrf = lapack.dpttrf, lapack.dgttrf
 
     def counted(*args, **kwargs):
-        calls.append(args[1].size)
+        calls.append(args[0].size)
+        return dpttrf(*args, **kwargs)
+
+    def general(*args, **kwargs):
+        calls.append("dgttrf")
         return dgttrf(*args, **kwargs)
 
-    monkeypatch.setattr(operators.lapack, "dgttrf", counted)
+    monkeypatch.setattr(lapack, "dpttrf", counted)
+    monkeypatch.setattr(lapack, "dgttrf", general)
     config = IntegratorConfig(scheme=scheme, dt=1e-3, t_end=0.05)
     run = evolve(mitosis_512, unit_mass_exponential(mitosis_512.mesh), config)
     assert run.times.size == 51
@@ -211,6 +216,29 @@ def test_recording_of_a_clamped_run(fine_geometric):
     assert trajectory.states[0].values.min() >= 0.0
     assert trajectory.min_value == 0.0
     _assert_records_equal_public_reductions(trajectory, initial)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_recording_ignores_the_memory_offset_of_the_data(mitosis_512, signed):
+    # the same initial values and reference, copied to each offset inside a
+    # larger buffer, give the same records to the last bit (the CLI's
+    # byte-identical CSVs depend on it)
+    mesh, n = mitosis_512.mesh, mitosis_512.mesh.n_cells
+    values = np.exp(-0.3 * mesh.centers) * (np.sin(mesh.centers) if signed else 1.0)
+    steady = solve_steady(mitosis_512).state.values
+    config = IntegratorConfig(dt=1e-3, t_end=0.01, moment_order=2.5)
+    runs = []
+    for offset in range(8):
+        buffer = np.empty((2, n + 8))
+        buffer[0, offset:offset + n], buffer[1, offset:offset + n] = values, steady
+        initial = State(values=buffer[0, offset:offset + n], mesh=mesh)
+        reference = State(values=buffer[1, offset:offset + n], mesh=mesh)
+        runs.append(evolve(mitosis_512, initial, config, reference=reference))
+    for run in runs[1:]:
+        for m, series in run.moments.items():
+            assert np.array_equal(series, runs[0].moments[m])
+        assert np.array_equal(run.tail_fraction, runs[0].tail_fraction)
+        assert np.array_equal(run.dist_ref, runs[0].dist_ref)
 
 
 def test_moment_ceiling_along_trajectory(linear_rate_512):

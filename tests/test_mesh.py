@@ -125,3 +125,28 @@ def test_state_validation(mesh_512):
     bad[3] = np.nan
     with pytest.raises(ConfigError):
         State(values=bad, mesh=mesh_512)
+
+
+@pytest.mark.parametrize("n", [64, 2048])
+@pytest.mark.parametrize("grading", ["uniform", "geometric"])
+def test_dot_reductions_match_pairwise_sums(grading, n):
+    # the weight-row dot products against the elementwise formulas they
+    # replaced (numpy's pairwise sum), on signed data
+    from fragdiff.mesh import moment_of, weighted_norm_of, x1_distance_of
+    mesh = build_mesh(40.0, n, grading, ratio=1.01 if grading == "geometric" else None)
+    xc, dx = mesh.centers, mesh.widths
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        u, v = rng.standard_normal(n), rng.standard_normal(n)
+        for m in (-0.5, 0.0, 1.0, 2.0, 3.0):
+            # a signed sum can cancel: its rounding scales with the sum of |terms|
+            scale = np.sum(xc ** m * np.abs(u) * dx)
+            assert abs(moment_of(mesh, u, m) - np.sum(xc ** m * u * dx)) <= 1e-13 * scale
+            if m >= 1.0:
+                old = np.sum((xc + xc ** m) * np.abs(u) * dx)
+                assert weighted_norm_of(mesh, u, m) == pytest.approx(old, rel=1e-13, abs=0)
+        old = np.sum(xc * np.abs(u - v) * dx)
+        assert x1_distance_of(mesh, u, v) == pytest.approx(old, rel=1e-13, abs=0)
+        weighted = xc * np.abs(u) * dx
+        old = np.sum(weighted[mesh.tail_slice()]) / np.sum(weighted)
+        assert tail_mass_fraction(State(u, mesh)) == pytest.approx(old, rel=1e-13, abs=0)

@@ -64,12 +64,25 @@ def test_tridiagonal_factor_matches_dense_solve(grading, right_bc, theta, rng):
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_singular_tridiagonal_raises():
+def test_singular_tridiagonal_raises(mesh_512):
+    # the diffusion operator itself is negative definite: LDL^T must refuse it
     from fragdiff import NumericsError
-    from fragdiff.operators import Tridiagonal
-    tri = Tridiagonal(lower=np.ones(7), diag=np.zeros(8), upper=np.zeros(7))
-    with pytest.raises(NumericsError, match="singular"):
-        tri.factor(0.0, 1.0)
+    with pytest.raises(NumericsError, match="not positive definite"):
+        assemble_diffusion(mesh_512).factor(0.0, 1.0)
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.3])
+@pytest.mark.parametrize("right_bc", ["noflux", "dirichlet"])
+@pytest.mark.parametrize("grading", ["uniform", "geometric"])
+def test_diffusion_is_symmetrised_by_cell_widths(grading, right_bc, rate):
+    # dx_i upper_i = dx_{i+1} lower_i = rate / (xbar_{i+1} - xbar_i)
+    mesh = build_mesh(40.0, 300, grading, ratio=1.01 if grading == "geometric" else None)
+    tri = assemble_diffusion(mesh, right_bc, rate)
+    dx = mesh.widths
+    assert tri.symmetriser is mesh.widths
+    upper, lower = dx[:-1] * tri.upper, dx[1:] * tri.lower
+    assert np.max(np.abs(upper / lower - 1.0)) <= 1e-14
+    assert np.allclose(upper, rate / np.diff(mesh.centers), rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +293,17 @@ def test_diffusion_coefficient_scales_operator(mesh_512):
     two = assemble_diffusion(mesh_512, diffusion_rate=2.0)
     assert np.allclose(two.diag, 2.0 * one.diag)
     assert np.allclose(two.upper, 2.0 * one.upper)
+
+
+@pytest.mark.parametrize("grading", ["uniform", "geometric"])
+def test_integer_input_applies_like_float(grading):
+    # scipy's LinearOperator probes its matvec with an integer vector, and
+    # the gain term must not be truncated to the input's dtype
+    mesh = build_mesh(10.0, 16, grading, ratio=1.1 if grading == "geometric" else None)
+    bundle = assemble_bundle(mesh, ConstantRate(1.0), PowerLawKernel(0.0))
+    for dtype in (int, np.int8):
+        ones = np.ones(16, dtype=dtype)
+        for apply in (bundle.apply, bundle.apply_reaction, bundle.birth.apply):
+            got = apply(ones)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, apply(np.ones(16)))
