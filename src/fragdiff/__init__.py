@@ -11,12 +11,11 @@ spectral gap, exponential relaxation) numerically.
 
 __version__ = "0.1.0"
 
-from .coefficients import (ConstantRate, ContractionConstants, CustomKernel,
-                           DaughterKernel, MassConditionReport, MomentCeiling,
-                           PowerLawKernel, PowerRate, RateModel,
-                           RegularizedRate, ShiftedPowerRate, TableRate,
-                           contraction_constants, delta_m, moment_ceiling,
-                           verify_mass_condition)
+from .coefficients import (ConstantRate, CustomKernel, DaughterKernel,
+                           MassConditionReport, MomentCeiling, PowerLawKernel,
+                           PowerRate, RateModel, RegularizedRate,
+                           ShiftedPowerRate, TableRate, delta_m,
+                           moment_ceiling, verify_mass_condition)
 from .errors import (ConfigError, NotApplicableError, NumericsError,
                      PropertyViolation, UnsupportedOrderError)
 from .evolution import IntegratorConfig, Stepper, Trajectory, default_dt, evolve
@@ -36,8 +35,7 @@ __all__ = [
     "x1_distance", "tail_mass_fraction",
     "RateModel", "ConstantRate", "PowerRate", "ShiftedPowerRate", "TableRate",
     "RegularizedRate", "DaughterKernel", "PowerLawKernel", "CustomKernel",
-    "delta_m", "verify_mass_condition", "moment_ceiling",
-    "contraction_constants", "MomentCeiling", "ContractionConstants",
+    "delta_m", "verify_mass_condition", "moment_ceiling", "MomentCeiling",
     "MassConditionReport",
     "assemble_diffusion", "assemble_birth", "assemble_bundle", "OperatorBundle",
     "apply_generator", "kernel_value", "image_kernel_value", "heat_apply_exact",

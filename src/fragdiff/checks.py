@@ -17,22 +17,24 @@ from scipy.integrate import quad
 
 from .errors import ConfigError, NumericsError
 from .evolution import positivity_budget, step_count
-from .mesh import State, norm_row, weighted_norm_of
+from .mesh import State, moment_row, norm_row, weighted_norm_of
 from .operators import OperatorBundle, image_kernel_value, kernel_value
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
+_SCAN_END = 60.0                  # profiles are scanned pointwise on (0, _SCAN_END]
+_KATO_TOL = 1e-8                  # Kato margin allowed below zero, relative to its scale
+_EPS_VALUES = (0.5, 1.0, 2.0)     # epsilons of the interpolation inequality's epsilon form
 
 
 @dataclass(frozen=True)
 class SampleProfile:
-    """Smooth test function with analytic derivatives and known sign changes."""
+    """Smooth test function on (0, inf) with analytic derivatives and known sign changes."""
 
     name: str
     f: Callable
     d1: Callable
     d2: Callable
     sign_roots: tuple = ()
-    upper: float = np.inf
 
 
 def default_catalog() -> list[SampleProfile]:
@@ -62,9 +64,9 @@ def _split_points(profile: SampleProfile, extra=()) -> list[float]:
     return [p for p in pts if p > 0]
 
 
-def _integrate(fn, points, upper=np.inf) -> float:
-    """Adaptive quadrature on (0, upper) split at the given interior points."""
-    pts = [0.0] + [p for p in sorted(points) if p < upper] + [upper]
+def _integrate(fn, points) -> float:
+    """Adaptive quadrature on (0, inf) split at the given interior points."""
+    pts = [0.0] + sorted(points) + [np.inf]
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
         val, err = quad(fn, lo, hi, **_QUAD_OPTS)
@@ -74,13 +76,13 @@ def _integrate(fn, points, upper=np.inf) -> float:
     return total
 
 
-def _verify_roots(profile: SampleProfile, upper: float = 60.0) -> bool:
+def _verify_roots(profile: SampleProfile) -> bool:
     """The catalog's sign roots must account for every resolvable sign change.
 
     Flips where the profile is already at roundoff scale do not move the
     integrals and are ignored.
     """
-    grid = np.linspace(1e-9, upper, 20001)
+    grid = np.linspace(1e-9, _SCAN_END, 20001)
     vals = profile.f(grid)
     peak = float(np.max(np.abs(vals)))
     sign_flips = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
@@ -142,8 +144,7 @@ class KatoReport:
     status: str          # "pass", "fail", "inconclusive"
 
 
-def check_kato(profile: SampleProfile, weight: WeightSpec = WeightSpec(),
-               tol: float = 1e-8) -> KatoReport:
+def check_kato(profile: SampleProfile, weight: WeightSpec = WeightSpec()) -> KatoReport:
     """Weighted one-sided inequality for |f| under the second derivative:
 
         -int ell sign(f) f''  >=  int ell' sign(f) f'.
@@ -159,13 +160,11 @@ def check_kato(profile: SampleProfile, weight: WeightSpec = WeightSpec(),
     def sign_f(x):
         return np.sign(profile.f(x))
 
-    lhs = _integrate(lambda x: -weight.ell(x) * sign_f(x) * profile.d2(x),
-                     pts, profile.upper)
-    rhs = _integrate(lambda x: weight.ell_prime(x) * sign_f(x) * profile.d1(x),
-                     pts, profile.upper)
+    lhs = _integrate(lambda x: -weight.ell(x) * sign_f(x) * profile.d2(x), pts)
+    rhs = _integrate(lambda x: weight.ell_prime(x) * sign_f(x) * profile.d1(x), pts)
     scale = max(1.0, abs(lhs), abs(rhs))
     margin = lhs - rhs
-    status = "pass" if margin >= -tol * scale else "fail"
+    status = "pass" if margin >= -_KATO_TOL * scale else "fail"
     return KatoReport(profile.name, weight.kind, lhs, rhs, margin, scale, status)
 
 
@@ -187,8 +186,7 @@ class InterpolationReport:
     status: str
 
 
-def check_interpolation(profile: SampleProfile, m: float,
-                        eps_values=(0.5, 1.0, 2.0)) -> InterpolationReport:
+def check_interpolation(profile: SampleProfile, m: float) -> InterpolationReport:
     """Low-order moment controlled by mass and second-derivative mass:
 
         |f|_{X_m} <= 2 (1-m)^((m-1)/2) / (m+1) * |f''|_{X_1}^((1-m)/2) |f|_{X_1}^((m+1)/2)
@@ -199,17 +197,17 @@ def check_interpolation(profile: SampleProfile, m: float,
     if not (-1.0 < m < 1.0):
         raise ConfigError(f"interpolation order must lie in (-1, 1), got {m}")
     pts = _split_points(profile)
-    norm_m = _integrate(lambda x: x ** m * np.abs(profile.f(x)), pts, profile.upper)
-    norm_1 = _integrate(lambda x: x * np.abs(profile.f(x)), pts, profile.upper)
+    norm_m = _integrate(lambda x: x ** m * np.abs(profile.f(x)), pts)
+    norm_1 = _integrate(lambda x: x * np.abs(profile.f(x)), pts)
     d2_roots = tuple(np.linspace(0.5, 50, 25))   # generic split; |f''| is smooth between
-    d2_norm = _integrate(lambda x: x * np.abs(profile.d2(x)), d2_roots, profile.upper)
+    d2_norm = _integrate(lambda x: x * np.abs(profile.d2(x)), d2_roots)
     coeff = 2.0 * (1.0 - m) ** ((m - 1.0) / 2.0) / (m + 1.0)
     rhs = coeff * d2_norm ** ((1.0 - m) / 2.0) * norm_1 ** ((m + 1.0) / 2.0)
     eps_margins = {}
-    for eps in eps_values:
+    for eps in _EPS_VALUES:
         bound = eps ** (m + 1.0) / (m + 1.0) * d2_norm + eps ** (m - 1.0) * norm_1
         eps_margins[eps] = bound - norm_m
-    grid = np.linspace(1e-6, 60.0, 60001)
+    grid = np.linspace(1e-6, _SCAN_END, 60001)
     sup_f = float(np.max(np.abs(profile.f(grid))))
     sup_slope = float(np.max(grid * np.abs(profile.d1(grid))))
     ok = (norm_m <= rhs * (1 + 1e-10)
@@ -227,7 +225,6 @@ def check_interpolation(profile: SampleProfile, m: float,
 
 @dataclass(frozen=True)
 class GainSmallnessReport:
-    profile: str
     m: float
     t_grid: np.ndarray = field(repr=False)
     ratio: np.ndarray = field(repr=False)
@@ -268,9 +265,8 @@ def check_gain_smallness(bundle: OperatorBundle, initial: State, m: float,
     crossing = float(t_grid[above[0]]) if above.size else None
     status = "pass" if (ratio[-1] < 1.0 or (crossing is not None and crossing > dt)) \
         else "fail"
-    return GainSmallnessReport(profile="state", m=m, t_grid=t_grid, ratio=ratio,
-                               crossing_time=crossing, ratio_at_end=float(ratio[-1]),
-                               status=status)
+    return GainSmallnessReport(m=m, t_grid=t_grid, ratio=ratio, crossing_time=crossing,
+                               ratio_at_end=float(ratio[-1]), status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +295,8 @@ def kernel_positivity_samples(rng: np.random.Generator, n_samples: int = 500) ->
 def birth_domination(bundle: OperatorBundle, values: np.ndarray, m: float,
                      delta: float) -> dict:
     """Gain strictly dominated by weighted loss: |B f|_{X_m} <= (1-delta)|a f|_{X_m}."""
-    mesh = bundle.mesh
-    birth = bundle.birth.apply(np.abs(values))
-    lhs = float(np.sum(mesh.centers ** m * np.abs(birth) * mesh.widths))
-    af = bundle.rate(mesh.centers) * np.abs(values)
-    rhs = (1.0 - delta) * float(np.sum(mesh.centers ** m * af * mesh.widths))
+    mesh, absolute = bundle.mesh, np.abs(values)
+    row = moment_row(mesh, m)
+    lhs = float(row @ np.abs(bundle.birth.apply(absolute)))
+    rhs = (1.0 - delta) * float(row @ (bundle.rate(mesh.centers) * absolute))
     return {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs, "ok": bool(lhs <= rhs * (1 + 1e-12))}

@@ -27,6 +27,14 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConfigError, NotApplicableError, PropertyViolation
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(64)
+# a(x) >= DIVERGENCE_LEVEL on the outer decade stands in for a(x) -> infinity;
+# the moment ceiling's x_star is where a first reaches it
+DIVERGENCE_LEVEL = 1.0
+# donor sizes and tolerance at which a CustomKernel's mass condition is checked
+_MASS_CHECK_Y = (0.01, 0.1, 1.0, 10.0, 100.0)
+_QUADRATURE_MASS_TOL = 1e-8
+# donor sizes of a custom kernel's delta_m: 32 per decade on [1e-2, 1e2]
+_DELTA_Y = np.geomspace(1e-2, 1e2, 129)
 
 
 def power_integral(lo, hi, q: float):
@@ -73,7 +81,7 @@ class RateModel:
     def threshold_crossing(self, level: float, x_hi: float) -> float | None:
         """Smallest x with a >= level on [x, x_hi], or None if never reached.
 
-        Numeric fallback: coarse scan then bisection on the continuous model.
+        A coarse scan, then bisection on the continuous model, for every rate.
         """
         grid = np.linspace(0.0, x_hi, 4097)
         vals = np.asarray(self(grid), dtype=float)
@@ -91,7 +99,7 @@ class RateModel:
                 hi = mid
             else:
                 lo = mid
-        return hi
+        return float(hi)
 
     def tail_infimum(self, x_lo: float, x_hi: float) -> float:
         grid = np.geomspace(max(x_lo, 1e-12), x_hi, 1024)
@@ -114,9 +122,6 @@ class ConstantRate(RateModel):
 
     def cell_integrals(self, edges, q):
         return self.value * power_integral(edges[:-1], edges[1:], q)
-
-    def threshold_crossing(self, level, x_hi):
-        return 0.0 if self.value >= level else None
 
     def describe(self):
         return {"kind": "constant", "value": self.value}
@@ -141,12 +146,6 @@ class PowerRate(RateModel):
     def cell_integrals(self, edges, q):
         return power_integral(edges[:-1], edges[1:], q + self.gamma)
 
-    def threshold_crossing(self, level, x_hi):
-        if self.gamma == 0.0:
-            return 0.0 if level <= 1.0 else None
-        x_star = level ** (1.0 / self.gamma)
-        return x_star if x_star <= x_hi else None
-
     def describe(self):
         return {"kind": "power", "gamma": self.gamma}
 
@@ -170,14 +169,6 @@ class ShiftedPowerRate(RateModel):
     def cell_integrals(self, edges, q):
         lo, hi = edges[:-1], edges[1:]
         return self.offset * power_integral(lo, hi, q) + power_integral(lo, hi, q + self.gamma)
-
-    def threshold_crossing(self, level, x_hi):
-        if self.offset >= level:
-            return 0.0
-        if self.gamma == 0.0:
-            return 0.0 if self.offset + 1.0 >= level else None
-        x_star = (level - self.offset) ** (1.0 / self.gamma)
-        return x_star if x_star <= x_hi else None
 
     def describe(self):
         return {"kind": "shifted_power", "offset": self.offset, "gamma": self.gamma}
@@ -232,9 +223,9 @@ class RegularizedRate(RateModel):
         return {"kind": "regularized", "n": self.n, "base": self.base.describe()}
 
 
-def rate_diverges(rate: RateModel, x_max_probe: float, bound: float = 1.0) -> bool:
-    """Proxy for a(x) -> infinity: the outer decade stays above `bound`."""
-    return rate.tail_infimum(x_max_probe / 10.0, x_max_probe) >= bound
+def rate_diverges(rate: RateModel, x_max_probe: float) -> bool:
+    """Proxy for a(x) -> infinity: the outer decade stays at DIVERGENCE_LEVEL or above."""
+    return rate.tail_infimum(x_max_probe / 10.0, x_max_probe) >= DIVERGENCE_LEVEL
 
 
 def rate_tail_positive(rate: RateModel, x_max_probe: float) -> bool:
@@ -307,16 +298,15 @@ class CustomKernel(DaughterKernel):
     returns b(x, y) elementwise; each integral is one vectorised call.
 
     The mass condition is verified at construction on a log grid of donor
-    sizes and the kernel is rejected (never silently rescaled) on failure.
+    sizes, to the quadrature's 1e-8, and the kernel is rejected (never
+    silently rescaled) on failure.
     """
 
     fn: Callable[[np.ndarray, float], np.ndarray]
     name: str = "custom"
-    mass_tol: float = 1e-8
-    y_check: tuple = (0.01, 0.1, 1.0, 10.0, 100.0)
 
     def __post_init__(self):
-        report = verify_mass_condition(self, self.y_check, tol=self.mass_tol)
+        report = verify_mass_condition(self, _MASS_CHECK_Y, tol=_QUADRATURE_MASS_TOL)
         if not report.passed:
             raise PropertyViolation(
                 f"kernel {self.name!r} violates the mass condition: defect "
@@ -353,16 +343,13 @@ def verify_mass_condition(kernel: DaughterKernel, y_samples,
     if np.any(ys <= 0):
         raise ConfigError("donor samples must be positive")
     masses = np.array([float(kernel.fragment_mass_below(y, y)) for y in ys])
-    if isinstance(kernel, CustomKernel):     # Gauss quadrature, not closed form
-        tol = max(tol, 1e-8)
     defects = np.abs(masses - ys) / ys
     worst = int(np.argmax(defects))
     return MassConditionReport(max_defect=float(defects[worst]), worst_y=float(ys[worst]),
                                tol=tol, passed=bool(defects[worst] <= tol), defects=defects)
 
 
-def delta_m(kernel: DaughterKernel, m: float,
-            y_range: tuple = (1e-2, 1e2)) -> float:
+def delta_m(kernel: DaughterKernel, m: float) -> float:
     """Contraction defect of the m-th fragment moment, in (0, 1).
 
     Closed form for the power-law family; for custom kernels a supremum over
@@ -372,9 +359,7 @@ def delta_m(kernel: DaughterKernel, m: float,
         raise ConfigError(f"contraction defect is defined for m > 1, got {m}")
     if isinstance(kernel, PowerLawKernel):
         return (m - 1.0) / (kernel.nu + m + 1.0)
-    decades = np.log10(y_range[1] / y_range[0])
-    ys = np.geomspace(y_range[0], y_range[1], max(int(32 * decades) + 1, 16))
-    ratios = np.array([float(kernel.fragment_moment(m, y)) / y ** m for y in ys])
+    ratios = np.array([float(kernel.fragment_moment(m, y)) / y ** m for y in _DELTA_Y])
     value = 1.0 - float(np.max(ratios))
     if value <= 0.0:
         raise PropertyViolation(
@@ -396,18 +381,11 @@ class MomentCeiling:
     mu: float
 
 
-@dataclass(frozen=True)
-class ContractionConstants:
-    delta: dict
-    mu: dict
-    x_star: float
-
-
 def moment_ceiling(rate: RateModel, kernel: DaughterKernel, m: float,
                    x_max_probe: float) -> MomentCeiling:
     """Ceiling for the m-th moment along trajectories, for rates that grow.
 
-    Requires a size x_star beyond which a >= 1 (divergence proxy); the
+    Requires a size x_star beyond which a >= 1 (`rate_diverges`); the
     ceiling combines the contraction defect with the sub-threshold region:
 
         mu = (2/delta) * [ 2m (2m(m-3)/delta)^((m-3)/2) + delta x_star^(m-1) ].
@@ -417,26 +395,10 @@ def moment_ceiling(rate: RateModel, kernel: DaughterKernel, m: float,
     if not rate_diverges(rate, x_max_probe):
         raise NotApplicableError(
             "rate does not stay above 1 on the probe tail; no moment ceiling")
-    x_star = rate.threshold_crossing(1.0, x_max_probe)
+    x_star = rate.threshold_crossing(DIVERGENCE_LEVEL, x_max_probe)
     if x_star is None:
         raise NotApplicableError("rate never reaches 1 within the probe range")
     delta = delta_m(kernel, m)
     power_term = 2.0 * m * (2.0 * m * (m - 3.0) / delta) ** ((m - 3.0) / 2.0)
     mu = (2.0 / delta) * (power_term + delta * x_star ** (m - 1.0))
     return MomentCeiling(m=m, delta=delta, x_star=float(x_star), mu=float(mu))
-
-
-def contraction_constants(rate: RateModel, kernel: DaughterKernel, orders,
-                          x_max_probe: float) -> ContractionConstants:
-    """Bundle delta_m and mu_m for several orders, sharing one x_star."""
-    deltas = {float(m): delta_m(kernel, float(m)) for m in orders}
-    mus = {}
-    x_star = None
-    for m in orders:
-        if m >= 3.0:
-            ceiling = moment_ceiling(rate, kernel, float(m), x_max_probe)
-            mus[float(m)] = ceiling.mu
-            x_star = ceiling.x_star
-    if x_star is None:
-        x_star = rate.threshold_crossing(1.0, x_max_probe) or float("nan")
-    return ContractionConstants(delta=deltas, mu=mus, x_star=x_star)

@@ -170,9 +170,13 @@ def parse_config_text(text: str, source: str = "<memory>") -> RunConfig:
         build_integrator(cfg)
         _initial_shape(cfg["initial"])
         build_n_sequence(cfg)
-        require_modes(cfg["spectrum"]["k"])
     except ConfigError as exc:
         raise cfg.error(str(exc)) from exc
+    # these messages name a key of another section too ([domain] cells, [initial] mass)
+    try:
+        require_modes(cfg["spectrum"]["k"], mesh.n_cells)
+    except ConfigError as exc:
+        raise cfg.error(str(exc), "spectrum") from exc
     try:
         stationary.require_mass(cfg["steady"]["mass"])
     except ConfigError as exc:

@@ -122,19 +122,20 @@ class Stepper:
             return solve(values + dt * bundle.apply_reaction(values))
         if self.scheme == "crank_nicolson_imex":
             half_l = values + 0.5 * dt * bundle.diffusion.apply(values)
-            predictor = solve(half_l + dt * bundle.apply_reaction(values))
-            reaction = 0.5 * (bundle.apply_reaction(values)
-                              + bundle.apply_reaction(predictor))
+            reaction = bundle.apply_reaction(values)
+            predictor = solve(half_l + dt * reaction)
+            reaction = 0.5 * (reaction + bundle.apply_reaction(predictor))
             return solve(half_l + dt * reaction)
         return solve(values)
 
     def step(self, values: np.ndarray) -> np.ndarray:
         """Advance values by dt; nonnegative input stays nonnegative or raises."""
         new = self.advance(values)
-        if not np.isfinite(new).all():
+        # the min and the max are NaN or infinite exactly when some value is
+        low, high = float(new.min()), float(new.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise NumericsError("integrator produced non-finite values")
         if values.min(initial=0.0) >= 0.0:
-            low = float(new.min(initial=0.0))
             if low < POSITIVITY_FLOOR:
                 raise PropertyViolation(
                     f"positivity violated: minimum {low:.3e} below {POSITIVITY_FLOOR}")

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigError, UnsupportedOrderError
 
 GRADINGS = ("uniform", "geometric")
+TAIL_FRACTION = 0.05    # the outer share of [0, x_max] whose mass tail_mass_fraction reports
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,9 @@ class Mesh:
     def x_max(self) -> float:
         return float(self.edges[-1])
 
-    def tail_slice(self, fraction: float = 0.05) -> slice:
-        """Index range of the outermost cells covering `fraction` of [0, x_max]."""
-        cut = self.x_max * (1.0 - fraction)
+    def tail_slice(self) -> slice:
+        """Index range of the outermost cells covering TAIL_FRACTION of [0, x_max]."""
+        cut = self.x_max * (1.0 - TAIL_FRACTION)
         start = int(np.searchsorted(self.centers, cut))
         return slice(min(start, self.n_cells - 1), self.n_cells)
 
@@ -164,9 +165,9 @@ def x1_distance(a: State, b: State) -> float:
     return x1_distance_of(a.mesh, a.values, b.values)
 
 
-def tail_mass_fraction(state: State, fraction: float = 0.05) -> float:
+def tail_mass_fraction(state: State) -> float:
     """Share of |mass| sitting in the outermost cells; truncation-leak monitor."""
-    sl = state.mesh.tail_slice(fraction)
+    sl = state.mesh.tail_slice()
     row, absolute = moment_row(state.mesh, 1.0), np.abs(state.values)
     total = row @ absolute
     if total == 0.0:

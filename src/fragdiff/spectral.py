@@ -22,12 +22,22 @@ from .mesh import State, moment_of, weighted_norm_of
 from .operators import OperatorBundle, factor
 
 _SHIFT = 1.0     # real shift sigma > 0 of the Arnoldi spectral transformation
+_EIGEN_TOL = 1e-10   # inverse iteration settles once lambda moves by this times max |G_ii|
+_MAX_ITERATIONS = 60
+_FIT_WINDOW = (1e-10, 1e-2)     # decay fit: distances within these multiples of the first
+_MIN_FIT_POINTS = 6
 
 
-def require_modes(k: int) -> None:
-    """The number k of subdominant eigenvalues to report must be at least one."""
+def require_modes(k: int, n_cells: int) -> None:
+    """The number k of subdominant eigenvalues to report, 1 <= k <= n_cells - 3.
+
+    Arnoldi finds at most n_cells - 2 eigenvalues and the dominant one is
+    dropped, so a larger k could not be honoured.
+    """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+    if k > n_cells - 3:
+        raise ConfigError(f"k must be <= n_cells - 3 = {n_cells - 3}, got {k}")
 
 
 def _start_vector(mesh) -> np.ndarray:
@@ -36,8 +46,7 @@ def _start_vector(mesh) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def dominant_eigenpair(bundle: OperatorBundle, tol: float = 1e-10,
-                       max_iterations: int = 60) -> tuple[float, State]:
+def dominant_eigenpair(bundle: OperatorBundle) -> tuple[float, State]:
     """Eigenvalue of smallest magnitude and its eigenvector, mass-normalized.
 
     Inverse iteration with zero shift through `operators.factor`: the
@@ -47,15 +56,15 @@ def dominant_eigenpair(bundle: OperatorBundle, tol: float = 1e-10,
     solve = factor(bundle, 0.0, 1.0)
     scale = float(np.max(np.abs(bundle.diffusion.diag - bundle.death)))
     v, lam = _start_vector(bundle.mesh), 0.0
-    for iteration in range(max_iterations):
+    for iteration in range(_MAX_ITERATIONS):
         w = solve(v)
         v = w / np.linalg.norm(w)
         lam, previous = float(v @ bundle.apply(v)), lam
-        if iteration > 0 and abs(lam - previous) <= tol * scale:
+        if iteration > 0 and abs(lam - previous) <= _EIGEN_TOL * scale:
             break
     else:
         raise NumericsError(
-            f"inverse iteration did not settle in {max_iterations} iterations")
+            f"inverse iteration did not settle in {_MAX_ITERATIONS} iterations")
     mass_v = moment_of(bundle.mesh, v, 1.0)
     if abs(mass_v) > 1e-300:        # also makes the mass positive
         v = v / mass_v
@@ -70,7 +79,7 @@ def subdominant_spectrum(bundle: OperatorBundle, k: int = 8) -> np.ndarray:
     semigroup is a contraction.  The dominant mode, the one of largest real
     part, is real and simple by positivity and is dropped.
     """
-    require_modes(k)
+    require_modes(k, bundle.mesh.n_cells)
     if float(bundle.rate.tail_infimum(1e-6, bundle.mesh.x_max)) <= 0.0:
         raise PropertyViolation(
             "spectral run requires a strictly positive rate on the grid")
@@ -107,11 +116,10 @@ class DecayFit:
     n_points: int = 0
 
 
-def decay_rate(trajectory: Trajectory, reference: State,
-               window=(1e-10, 1e-2), min_points: int = 6) -> DecayFit:
+def decay_rate(trajectory: Trajectory, reference: State) -> DecayFit:
     """Exponential rate fitted to the recorded distance-to-reference series.
 
-    The fit window keeps distances within `window` times the initial one,
+    The fit window keeps distances within _FIT_WINDOW times the initial one,
     skipping the early transient and the discretization floor.  Requires a
     trajectory evolved with this reference attached.
     """
@@ -124,10 +132,11 @@ def decay_rate(trajectory: Trajectory, reference: State,
     ref_scale = weighted_norm_of(reference.mesh, reference.values, 1.0)
     if d0 <= 1e-8 * max(ref_scale, 1e-300):
         return DecayFit(status="not_applicable")
-    mask = (d <= window[1] * d0) & (d >= window[0] * d0) & (d > 0)
-    if int(mask.sum()) < min_points:
+    low, high = _FIT_WINDOW
+    mask = (d <= high * d0) & (d >= low * d0) & (d > 0)
+    if int(mask.sum()) < _MIN_FIT_POINTS:
         late = d[-max(3, d.size // 10):]
-        if np.all(late >= window[1] * d0):
+        if np.all(late >= high * d0):
             return DecayFit(status="no_decay")
         return DecayFit(status="not_applicable")
     tw, dw = t[mask], np.log(d[mask])

@@ -25,6 +25,7 @@ from .mesh import State, moment_of, weighted_norm_of, x1_distance_of
 from .operators import OperatorBundle, assemble_birth, factor
 
 NEGATIVITY_TOL = 1e-10
+PAIRWISE_ORDER = 3.0    # m of the X_1 + X_m norm in RegularizedResult.pairwise_xm
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def regularization_indices(n_sequence) -> tuple:
 
 
 def solve_steady_regularized(bundle: OperatorBundle, n_sequence=(4, 16, 64, 256),
-                             m: float = 3.0, normalize_mass: float = 1.0) -> RegularizedResult:
+                             normalize_mass: float = 1.0) -> RegularizedResult:
     """Steady profiles for lifted rates a + x/n and their extrapolated limit.
 
     Preconditions: the base rate must stay positive on the outer decade of
@@ -127,7 +128,7 @@ def solve_steady_regularized(bundle: OperatorBundle, n_sequence=(4, 16, 64, 256)
         residuals.append(x1_distance_of(mesh, bundle.apply(res.state.values), 0.0))
     pair_x1 = np.array([x1_distance_of(mesh, a.values, b.values)
                         for a, b in zip(states, states[1:])])
-    pair_xm = np.array([weighted_norm_of(mesh, a.values - b.values, m)
+    pair_xm = np.array([weighted_norm_of(mesh, a.values - b.values, PAIRWISE_ORDER)
                         for a, b in zip(states, states[1:])])
     ratios = pair_x1[:-1] / pair_x1[1:] if pair_x1.size > 1 else np.array([])
     cauchy_ok = bool(np.all(np.diff(pair_x1) < 0.0)) if pair_x1.size > 1 else True

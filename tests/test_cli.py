@@ -288,6 +288,20 @@ def test_negative_steady_mass_exits_2_at_its_line(tmp_path, capsys):
         f"config error: {cfg_file}:9: [steady] mass must be >= 0, got -1.0")
 
 
+def test_too_many_modes_for_the_mesh_exit_2_at_their_line(tmp_path, capsys):
+    # the message names [domain] cells too; the error still points at [spectrum]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[run]\npreset = mitosis\ntask = spectrum\n[domain]\ncells = 8\n"
+                        "[spectrum]\nk = 6\n")
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {cfg_file}:7: [spectrum] k must be <= n_cells - 3 = 5, got 6")
+    # the default k = 8 is checked against the mesh as well
+    with pytest.raises(ConfigError, match=r"^run.cfg: \[spectrum\] k must be <= n_cells - 3"):
+        parse_config_text("[run]\npreset = mitosis\n[domain]\ncells = 10\n",
+                          source="run.cfg")
+
+
 def test_error_anchor_falls_back_to_section_then_source():
     cfg = parse_config_text("[run]\npreset = mitosis\n[time]\ndt = 0.001\n",
                             source="run.cfg")

@@ -5,8 +5,8 @@ from numpy.polynomial.legendre import leggauss
 from fragdiff import (ConfigError, ConstantRate, CustomKernel,
                       NotApplicableError, PowerLawKernel, PowerRate,
                       PropertyViolation, RegularizedRate, ShiftedPowerRate,
-                      TableRate, contraction_constants, delta_m,
-                      moment_ceiling, verify_mass_condition)
+                      TableRate, delta_m, moment_ceiling,
+                      verify_mass_condition)
 from fragdiff.coefficients import power_integral
 
 
@@ -84,6 +84,15 @@ def test_custom_kernel_accepted_when_mass_exact():
     assert verify_mass_condition(kernel, [0.5, 5.0]).passed
 
 
+def test_mass_condition_uses_the_given_tolerance():
+    # 1e-9 off: inside the 1e-8 a CustomKernel is built with, not inside 1e-12
+    kernel = CustomKernel(lambda x, y: (2.0 + 2e-9) / y * np.ones_like(x), name="near")
+    report = verify_mass_condition(kernel, [1.0, 2.0], tol=1e-12)
+    assert report.tol == 1e-12 and not report.passed
+    assert report.max_defect == pytest.approx(1e-9, rel=1e-6)
+    assert verify_mass_condition(kernel, [1.0, 2.0], tol=2e-9).passed
+
+
 # ---------------------------------------------------------------------------
 # rate models
 # ---------------------------------------------------------------------------
@@ -153,10 +162,13 @@ def test_rate_validation():
 # ---------------------------------------------------------------------------
 
 def test_moment_ceiling_linear_rate():
-    ceiling = moment_ceiling(PowerRate(1.0), PowerLawKernel(0.0), 3.0, 40.0)
-    assert ceiling.delta == pytest.approx(0.5, abs=1e-14)
-    assert ceiling.x_star == pytest.approx(1.0, abs=1e-10)
-    assert ceiling.mu == pytest.approx(26.0, abs=1e-8)
+    # mu = (2/delta) (2m (2m(m-3)/delta)^((m-3)/2) + delta x_star^(m-1)), x_star = 1
+    for m, delta, mu in ((3.0, 0.5, 26.0),
+                         (4.0, 0.6, (2.0 / 0.6) * (8.0 * np.sqrt(8.0 / 0.6) + 0.6))):
+        ceiling = moment_ceiling(PowerRate(1.0), PowerLawKernel(0.0), m, 40.0)
+        assert ceiling.delta == pytest.approx(delta, abs=1e-14)
+        assert ceiling.x_star == pytest.approx(1.0, abs=1e-10)
+        assert ceiling.mu == pytest.approx(mu, abs=1e-8)
 
 
 def test_moment_ceiling_threshold_examples():
@@ -171,16 +183,6 @@ def test_moment_ceiling_threshold_examples():
 def test_moment_ceiling_requires_m_at_least_three():
     with pytest.raises(ConfigError):
         moment_ceiling(PowerRate(1.0), PowerLawKernel(0.0), 2.0, 40.0)
-
-
-def test_contraction_constants_bundle():
-    consts = contraction_constants(PowerRate(1.0), PowerLawKernel(0.0),
-                                   (2.0, 3.0, 4.0), 40.0)
-    assert consts.delta[2.0] == pytest.approx(1.0 / 3.0)
-    assert consts.delta[3.0] == pytest.approx(0.5)
-    assert consts.mu[3.0] == pytest.approx(26.0, abs=1e-8)
-    assert 4.0 in consts.mu and consts.mu[4.0] > 0
-    assert consts.x_star == pytest.approx(1.0, abs=1e-10)
 
 
 def test_divergence_and_tail_proxies():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from fragdiff import (ConfigError, ConstantRate, IntegratorConfig, PowerLawKernel,
-                      PowerRate, PropertyViolation, State, Stepper,
+from fragdiff import (ConfigError, ConstantRate, IntegratorConfig, NumericsError,
+                      PowerLawKernel, PowerRate, PropertyViolation, State, Stepper,
                       apply_generator, assemble_bundle, build_mesh, default_dt,
                       evolve, heat_apply_exact, mass, moment, solve_steady,
                       tail_mass_fraction, x1_distance)
@@ -119,6 +119,35 @@ def test_imex_schemes_factor_diffusion_once(mitosis_512, monkeypatch, scheme):
     run = evolve(mitosis_512, unit_mass_exponential(mitosis_512.mesh), config)
     assert run.times.size == 51
     assert calls == [mitosis_512.mesh.n_cells]
+
+
+def test_crank_nicolson_applies_the_reaction_twice_per_step(mitosis_512, monkeypatch):
+    # once at the old values, once at the predictor
+    from fragdiff.operators import OperatorBundle
+    calls, apply_reaction = [], OperatorBundle.apply_reaction
+
+    def counted(self, v):
+        calls.append(v.size)
+        return apply_reaction(self, v)
+
+    monkeypatch.setattr(OperatorBundle, "apply_reaction", counted)
+    stepper = Stepper(mitosis_512, 1e-3, "crank_nicolson_imex")
+    values = unit_mass_exponential(mitosis_512.mesh).values
+    for _ in range(3):
+        values = stepper.step(values)
+    assert len(calls) == 2 * 3
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("signed", [False, True])
+def test_step_rejects_non_finite_values(mitosis_512, bad, signed):
+    stepper = Stepper(mitosis_512, 1e-3)
+    values = unit_mass_exponential(mitosis_512.mesh).values - 0.01 * signed
+    advanced = stepper.advance(values)
+    advanced[7] = bad
+    stepper.advance = lambda v: advanced.copy()
+    with pytest.raises(NumericsError, match="non-finite"):
+        stepper.step(values)
 
 
 def test_positivity_warning_on_large_dt(linear_rate_512):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import svdvals
 
-from fragdiff import (ConstantRate, IntegratorConfig, PowerLawKernel,
+from fragdiff import (ConfigError, ConstantRate, IntegratorConfig, PowerLawKernel,
                       PowerRate, PropertyViolation, State, assemble_bundle,
                       build_mesh, decay_rate, dominant_eigenpair, evolve,
                       mass, solve_steady, spectral_gap, subdominant_spectrum,
@@ -45,6 +45,14 @@ def test_subdominant_modes_decay(linear_rate_512):
     values = subdominant_spectrum(linear_rate_512, k=8)
     assert values.size > 0
     assert np.all(values.real < 0)
+
+
+def test_subdominant_spectrum_gives_k_values_or_refuses():
+    # Arnoldi finds at most n_cells - 2 eigenvalues, and the dominant one is dropped
+    bundle = assemble_bundle(build_mesh(20.0, 12), PowerRate(1.0), PowerLawKernel(0.0))
+    assert subdominant_spectrum(bundle, k=9).size == 9
+    with pytest.raises(ConfigError, match=r"k must be <= n_cells - 3 = 9, got 10"):
+        subdominant_spectrum(bundle, k=10)
 
 
 def test_spectral_gap_requires_positive_rate(mesh_512):
