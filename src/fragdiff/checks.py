@@ -59,14 +59,9 @@ def default_catalog() -> list[SampleProfile]:
     ]
 
 
-def _split_points(profile: SampleProfile, extra=()) -> list[float]:
-    pts = sorted(set(r for r in profile.sign_roots) | set(extra))
-    return [p for p in pts if p > 0]
-
-
 def _integrate(fn, points) -> float:
-    """Adaptive quadrature on (0, inf) split at the given interior points."""
-    pts = [0.0] + sorted(points) + [np.inf]
+    """Adaptive quadrature on (0, inf) split at those of the points inside it."""
+    pts = [0.0] + sorted({p for p in points if 0.0 < p < np.inf}) + [np.inf]
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
         val, err = quad(fn, lo, hi, **_QUAD_OPTS)
@@ -101,36 +96,28 @@ def _verify_roots(profile: SampleProfile) -> bool:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Weight ell(x): plain x, a power x^m, or the capped power min(x, R)^m."""
+    """Weight ell(x) = min(x, cap)^m; plain x by default."""
 
-    kind: str = "x"
     m: float = 1.0
-    cap: float | None = None
+    cap: float = np.inf
+
+    def __post_init__(self):
+        if not self.cap > 0:
+            raise ConfigError(f"weight cap must be positive, got {self.cap}")
+
+    @property
+    def label(self) -> str:
+        """The weight's name in reports: x, power or capped_power."""
+        if self.cap < np.inf:
+            return "capped_power"
+        return "x" if self.m == 1.0 else "power"
 
     def ell(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "x":
-            return x
-        if self.kind == "power":
-            return x ** self.m
-        return np.minimum(x, self.cap) ** self.m
+        return np.minimum(np.asarray(x, dtype=float), self.cap) ** self.m
 
     def ell_prime(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "x":
-            return np.ones_like(x)
-        if self.kind == "power":
-            return self.m * x ** (self.m - 1.0)
         return np.where(x < self.cap, self.m * x ** (self.m - 1.0), 0.0)
-
-    def breakpoints(self):
-        return (self.cap,) if self.kind == "capped_power" else ()
-
-    def __post_init__(self):
-        if self.kind not in ("x", "power", "capped_power"):
-            raise ConfigError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "capped_power" and (self.cap is None or self.cap <= 0):
-            raise ConfigError("capped weight needs a positive cap")
 
 
 @dataclass(frozen=True)
@@ -153,9 +140,9 @@ def check_kato(profile: SampleProfile, weight: WeightSpec = WeightSpec()) -> Kat
     equality holds (to quadrature accuracy) when f never changes sign.
     """
     if not _verify_roots(profile):
-        return KatoReport(profile.name, weight.kind, np.nan, np.nan, np.nan,
+        return KatoReport(profile.name, weight.label, np.nan, np.nan, np.nan,
                           np.nan, "inconclusive")
-    pts = _split_points(profile, weight.breakpoints())
+    pts = profile.sign_roots + (weight.cap,)
 
     def sign_f(x):
         return np.sign(profile.f(x))
@@ -165,7 +152,7 @@ def check_kato(profile: SampleProfile, weight: WeightSpec = WeightSpec()) -> Kat
     scale = max(1.0, abs(lhs), abs(rhs))
     margin = lhs - rhs
     status = "pass" if margin >= -_KATO_TOL * scale else "fail"
-    return KatoReport(profile.name, weight.kind, lhs, rhs, margin, scale, status)
+    return KatoReport(profile.name, weight.label, lhs, rhs, margin, scale, status)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +166,6 @@ class InterpolationReport:
     lhs: float
     rhs: float
     margin: float
-    eps_margins: dict
     pointwise_sup: float
     pointwise_slope: float
     d2_norm: float
@@ -196,27 +182,24 @@ def check_interpolation(profile: SampleProfile, m: float) -> InterpolationReport
     """
     if not (-1.0 < m < 1.0):
         raise ConfigError(f"interpolation order must lie in (-1, 1), got {m}")
-    pts = _split_points(profile)
+    pts = profile.sign_roots
     norm_m = _integrate(lambda x: x ** m * np.abs(profile.f(x)), pts)
     norm_1 = _integrate(lambda x: x * np.abs(profile.f(x)), pts)
     d2_roots = tuple(np.linspace(0.5, 50, 25))   # generic split; |f''| is smooth between
     d2_norm = _integrate(lambda x: x * np.abs(profile.d2(x)), d2_roots)
     coeff = 2.0 * (1.0 - m) ** ((m - 1.0) / 2.0) / (m + 1.0)
     rhs = coeff * d2_norm ** ((1.0 - m) / 2.0) * norm_1 ** ((m + 1.0) / 2.0)
-    eps_margins = {}
-    for eps in _EPS_VALUES:
-        bound = eps ** (m + 1.0) / (m + 1.0) * d2_norm + eps ** (m - 1.0) * norm_1
-        eps_margins[eps] = bound - norm_m
+    eps_margins = [eps ** (m + 1.0) / (m + 1.0) * d2_norm + eps ** (m - 1.0) * norm_1 - norm_m
+                   for eps in _EPS_VALUES]
     grid = np.linspace(1e-6, _SCAN_END, 60001)
     sup_f = float(np.max(np.abs(profile.f(grid))))
     sup_slope = float(np.max(grid * np.abs(profile.d1(grid))))
     ok = (norm_m <= rhs * (1 + 1e-10)
-          and all(v >= -1e-10 * max(1.0, norm_m) for v in eps_margins.values())
+          and all(v >= -1e-10 * max(1.0, norm_m) for v in eps_margins)
           and sup_f <= d2_norm * (1 + 1e-10)
           and sup_slope <= d2_norm * (1 + 1e-10))
     return InterpolationReport(profile.name, m, norm_m, rhs, rhs - norm_m,
-                               eps_margins, sup_f, sup_slope, d2_norm,
-                               "pass" if ok else "fail")
+                               sup_f, sup_slope, d2_norm, "pass" if ok else "fail")
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +225,7 @@ def check_gain_smallness(bundle: OperatorBundle, initial: State, m: float,
     crosses 1.  A crossing time bounded away from 0 is the smallness property
     that lets the gain be treated as a tame perturbation of the loss flow.
     """
-    if m <= 1.0:
+    if not m > 1.0:
         raise ConfigError("gain-smallness check needs m > 1")
     mesh = bundle.mesh
     denom = weighted_norm_of(mesh, initial.values, m)

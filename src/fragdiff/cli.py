@@ -66,28 +66,10 @@ def _write_profile_csv(path: Path, state: State) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-class _Diagnostics:
-    def __init__(self, path: Path):
-        self.path = path
-        self.records: list[str] = []
-
-    def add(self, kind: str, **payload) -> None:
-        record = {"kind": kind}
-        record.update(payload)
-        self.records.append(json.dumps(record, sort_keys=True, default=_json_default))
-
-    def flush(self) -> None:
-        self.path.write_text("\n".join(self.records) + ("\n" if self.records else ""))
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _record(diag: list, kind: str, **payload) -> None:
+    """Append one diagnostics line; numpy arrays become JSON lists."""
+    diag.append(json.dumps({"kind": kind, **payload}, sort_keys=True,
+                           default=np.ndarray.tolist))
 
 
 def _run_meta(cfg: RunConfig, bundle) -> dict:
@@ -96,7 +78,7 @@ def _run_meta(cfg: RunConfig, bundle) -> dict:
         "config": cfg.echo(),
         "mesh": {"cells": mesh.n_cells, "x_max": mesh.x_max,
                  "h_min": float(mesh.widths.min()), "h_max": float(mesh.widths.max()),
-                 "grading": mesh.grading},
+                 "grading": cfg["domain"]["grading"]},
         "coefficients": {"rate": bundle.rate.describe(),
                          "kernel": bundle.kernel.describe(),
                          "right_bc": bundle.right_bc,
@@ -105,88 +87,87 @@ def _run_meta(cfg: RunConfig, bundle) -> dict:
     }
 
 
-def _task_evolve(cfg: RunConfig, bundle, out: Path, diag: _Diagnostics) -> None:
+def _task_evolve(cfg: RunConfig, bundle, out: Path, diag: list) -> None:
     initial = build_initial(cfg, bundle)
     reference = None
     try:
         steady = solve_steady(bundle, normalize_mass=1.0)
         reference = steady.state.copy_with(steady.state.values * mass(initial))
     except (NumericsError, PropertyViolation):
-        diag.add("reference", available=False)
+        _record(diag, "reference", available=False)
     integrator = build_integrator(cfg)
     trajectory = evolve(bundle, initial, integrator, reference=reference)
     _write_moments_csv(out / "moments.csv", trajectory, integrator.output_every,
                        integrator.moment_order)
     _write_profile_csv(out / "profile.csv", trajectory.final)
-    diag.add("evolve", steps=int(trajectory.times.size - 1),
-             max_mass_drift=trajectory.max_drift,
-             min_value=trajectory.min_value,
-             reaction_cfl=trajectory.reaction_cfl,
-             final_tail_fraction=float(trajectory.tail_fraction[-1]))
+    _record(diag, "evolve", steps=int(trajectory.times.size - 1),
+            max_mass_drift=trajectory.max_drift,
+            min_value=trajectory.min_value,
+            reaction_cfl=trajectory.reaction_cfl,
+            final_tail_fraction=float(trajectory.tail_fraction[-1]))
     if reference is not None:
         fit = decay_rate(trajectory, reference)
-        diag.add("decay_fit", status=fit.status, nu_hat=fit.nu_hat,
-                 r_squared=fit.r_squared, n_points=fit.n_points)
+        _record(diag, "decay_fit", status=fit.status, nu_hat=fit.nu_hat,
+                r_squared=fit.r_squared, n_points=fit.n_points)
 
 
-def _task_steady(cfg: RunConfig, bundle, out: Path, diag: _Diagnostics) -> None:
+def _task_steady(cfg: RunConfig, bundle, out: Path, diag: list) -> None:
     result = solve_steady(bundle, normalize_mass=cfg["steady"]["mass"])
     _write_profile_csv(out / "profile.csv", result.state)
-    diag.add("steady", residual_x1=result.residual_x1, mass=result.mass,
-             min_value=result.min_value)
+    _record(diag, "steady", residual_x1=result.residual_x1, mass=result.mass,
+            min_value=result.min_value)
 
 
-def _task_regularized(cfg: RunConfig, bundle, out: Path, diag: _Diagnostics) -> None:
+def _task_regularized(cfg: RunConfig, bundle, out: Path, diag: list) -> None:
     result = solve_steady_regularized(bundle, build_n_sequence(cfg))
     _write_profile_csv(out / "profile.csv", result.limit)
-    diag.add("steady_regularized", n_values=list(result.n_values),
-             pairwise_x1=result.pairwise_x1, pairwise_xm=result.pairwise_xm,
-             distance_ratios=result.distance_ratios,
-             residual_base_x1=result.residual_base_x1,
-             limit_residual_x1=result.limit_residual_x1,
-             cauchy_ok=result.cauchy_ok)
+    _record(diag, "steady_regularized", n_values=list(result.n_values),
+            pairwise_x1=result.pairwise_x1, pairwise_xm=result.pairwise_xm,
+            distance_ratios=result.distance_ratios,
+            residual_base_x1=result.residual_base_x1,
+            limit_residual_x1=result.limit_residual_x1,
+            cauchy_ok=result.cauchy_ok)
 
 
-def _task_spectrum(cfg: RunConfig, bundle, out: Path, diag: _Diagnostics) -> None:
+def _task_spectrum(cfg: RunConfig, bundle, out: Path, diag: list) -> None:
     gap = spectral_gap(bundle, k=cfg["spectrum"]["k"])
     lam, psi = dominant_eigenpair(bundle)
     _write_profile_csv(out / "profile.csv", psi)
-    diag.add("spectrum", lambda0=lam, gap=gap, k=cfg["spectrum"]["k"])
+    _record(diag, "spectrum", lambda0=lam, gap=gap, k=cfg["spectrum"]["k"])
 
 
-def _task_checks(cfg: RunConfig, bundle, out: Path, diag: _Diagnostics) -> None:
+def _task_checks(cfg: RunConfig, bundle, out: Path, diag: list) -> None:
     rng = np.random.default_rng(cfg["run"]["seed"])
     failures = 0
     for profile in default_catalog():
-        for weight in (WeightSpec("x"), WeightSpec("power", m=2.0),
-                       WeightSpec("capped_power", m=2.0, cap=10.0)):
+        for weight in (WeightSpec(), WeightSpec(m=2.0), WeightSpec(m=2.0, cap=10.0)):
             report = check_kato(profile, weight)
             failures += report.status == "fail"
-            diag.add("kato", profile=report.profile, weight=report.weight,
-                     lhs=report.lhs, rhs=report.rhs, margin=report.margin,
-                     status=report.status)
+            _record(diag, "kato", profile=report.profile, weight=report.weight,
+                    lhs=report.lhs, rhs=report.rhs, margin=report.margin,
+                    status=report.status)
     for profile in default_catalog()[:3]:
         for m in (-0.5, 0.0, 0.5, 0.9):
             report = check_interpolation(profile, m)
             failures += report.status == "fail"
-            diag.add("interpolation", profile=report.profile, m=m,
-                     lhs=report.lhs, rhs=report.rhs, margin=report.margin,
-                     status=report.status)
+            _record(diag, "interpolation", profile=report.profile, m=m,
+                    lhs=report.lhs, rhs=report.rhs, margin=report.margin,
+                    status=report.status)
     kernels = kernel_positivity_samples(rng)
     failures += not (kernels["positivity_ok"] and kernels["monotone_ok"])
-    diag.add("kernel_inequalities", **kernels)
+    _record(diag, "kernel_inequalities", **kernels)
     xc = bundle.mesh.centers
     f = State(values=xc * np.exp(-xc), mesh=bundle.mesh)
     gain = check_gain_smallness(bundle, f, m=2.0)
     failures += gain.status == "fail"
-    diag.add("gain_smallness", m=2.0, crossing_time=gain.crossing_time,
-             ratio_at_end=gain.ratio_at_end, status=gain.status)
+    _record(diag, "gain_smallness", m=2.0, crossing_time=gain.crossing_time,
+            ratio_at_end=gain.ratio_at_end, status=gain.status)
     delta2 = delta_m(bundle.kernel, 2.0)
     for _ in range(5):
         values = rng.random(bundle.mesh.n_cells) * np.exp(-0.3 * xc)
         dom = birth_domination(bundle, values, 2.0, delta2)
         failures += not dom["ok"]
-        diag.add("birth_domination", **dom)
+        _record(diag, "birth_domination", **dom)
     if failures:
         raise PropertyViolation(f"{failures} analysis checks failed")
 
@@ -224,14 +205,14 @@ def main(argv=None) -> int:
         root = args.out or Path(os.environ.get("FRAGDIFF_OUT_ROOT", ".")) / "fragdiff-run"
         out = Path(root)
         out.mkdir(parents=True, exist_ok=True)
-        diag = _Diagnostics(out / "diagnostics.jsonl")
         bundle = build_bundle(cfg)
         (out / "run_meta.json").write_text(
             json.dumps(_run_meta(cfg, bundle), indent=2, sort_keys=True) + "\n")
+        diag: list[str] = []
         try:
             _TASKS[task](cfg, bundle, out, diag)
         finally:
-            diag.flush()
+            (out / "diagnostics.jsonl").write_text("".join(line + "\n" for line in diag))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

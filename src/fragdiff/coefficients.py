@@ -18,7 +18,7 @@ has delta_m = (m-1)/(nu+m+1) in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -114,7 +114,7 @@ class ConstantRate(RateModel):
     value: float
 
     def __post_init__(self):
-        if self.value <= 0:
+        if not self.value > 0:
             raise ConfigError(f"value must be positive for a constant rate, got {self.value}")
 
     def __call__(self, x):
@@ -134,14 +134,11 @@ class PowerRate(RateModel):
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ConfigError(f"gamma must be >= 0 (local boundedness), got {self.gamma}")
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.gamma == 0.0:
-            return np.ones_like(x)
-        return x ** self.gamma
+        return np.asarray(x, dtype=float) ** self.gamma
 
     def cell_integrals(self, edges, q):
         return power_integral(edges[:-1], edges[1:], q + self.gamma)
@@ -158,7 +155,7 @@ class ShiftedPowerRate(RateModel):
     gamma: float
 
     def __post_init__(self):
-        if self.offset <= 0:
+        if not self.offset > 0:
             raise ConfigError(f"offset must be positive, got {self.offset}")
         PowerRate(self.gamma)   # the x^gamma part holds the rule on gamma
 
@@ -186,9 +183,9 @@ class TableRate(RateModel):
         a = np.asarray(self.a_nodes, dtype=float)
         if x.ndim != 1 or x.size < 2 or x.shape != a.shape:
             raise ConfigError("table rate needs matching 1-D node arrays")
-        if np.any(np.diff(x) <= 0):
+        if not np.all(np.diff(x) > 0):
             raise ConfigError("table abscissae must be strictly increasing")
-        if np.any(a < 0):
+        if not np.all(a >= 0):
             raise ConfigError("table rate must be nonnegative")
         object.__setattr__(self, "x_nodes", x)
         object.__setattr__(self, "a_nodes", a)
@@ -208,7 +205,7 @@ class RegularizedRate(RateModel):
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
+        if not self.n >= 1:
             raise ConfigError(f"n must be >= 1 for the lift x/n, got {self.n}")
 
     def __call__(self, x):
@@ -282,7 +279,7 @@ class PowerLawKernel(DaughterKernel):
 
     def fragment_moment(self, m, y):
         y = np.asarray(y, dtype=float)
-        if m + self.nu + 1.0 <= 0.0:
+        if not m + self.nu + 1.0 > 0.0:
             raise ConfigError("fragment moment diverges for m <= -nu - 1")
         return (self.nu + 2.0) / (self.nu + m + 1.0) * y ** m
 
@@ -333,20 +330,19 @@ class MassConditionReport:
     worst_y: float
     tol: float
     passed: bool
-    defects: np.ndarray = field(repr=False, default=None)
 
 
 def verify_mass_condition(kernel: DaughterKernel, y_samples,
                           tol: float = 1e-10) -> MassConditionReport:
     """Relative defect |int x b dx - y| / y over donor samples."""
     ys = np.asarray(y_samples, dtype=float)
-    if np.any(ys <= 0):
+    if not np.all(ys > 0):
         raise ConfigError("donor samples must be positive")
     masses = np.array([float(kernel.fragment_mass_below(y, y)) for y in ys])
     defects = np.abs(masses - ys) / ys
     worst = int(np.argmax(defects))
     return MassConditionReport(max_defect=float(defects[worst]), worst_y=float(ys[worst]),
-                               tol=tol, passed=bool(defects[worst] <= tol), defects=defects)
+                               tol=tol, passed=bool(defects[worst] <= tol))
 
 
 def delta_m(kernel: DaughterKernel, m: float) -> float:
@@ -355,7 +351,7 @@ def delta_m(kernel: DaughterKernel, m: float) -> float:
     Closed form for the power-law family; for custom kernels a supremum over
     a fixed 32-points-per-decade log grid of donor sizes (lower-confidence).
     """
-    if m <= 1.0:
+    if not m > 1.0:
         raise ConfigError(f"contraction defect is defined for m > 1, got {m}")
     if isinstance(kernel, PowerLawKernel):
         return (m - 1.0) / (kernel.nu + m + 1.0)
@@ -390,7 +386,7 @@ def moment_ceiling(rate: RateModel, kernel: DaughterKernel, m: float,
 
         mu = (2/delta) * [ 2m (2m(m-3)/delta)^((m-3)/2) + delta x_star^(m-1) ].
     """
-    if m < 3.0:
+    if not m >= 3.0:
         raise ConfigError(f"moment ceiling needs m >= 3, got {m}")
     if not rate_diverges(rate, x_max_probe):
         raise NotApplicableError(

@@ -85,7 +85,7 @@ class IntegratorConfig:
         _check_step(self.scheme, self.dt)
         # t_end is positive and finite, and an explicit dt divides it
         step_count(self.t_end, self.t_end if self.dt is None else self.dt)
-        if self.output_every < 1:
+        if not self.output_every >= 1:
             raise ConfigError(f"output_every must be >= 1, got {self.output_every}")
         require_moment_order(self.moment_order)
 
@@ -135,12 +135,12 @@ class Stepper:
         low, high = float(new.min()), float(new.max())
         if not (math.isfinite(low) and math.isfinite(high)):
             raise NumericsError("integrator produced non-finite values")
-        if values.min(initial=0.0) >= 0.0:
+        # the input's sign matters only once the new state dips below zero
+        if low < 0.0 and values.min(initial=0.0) >= 0.0:
             if low < POSITIVITY_FLOOR:
                 raise PropertyViolation(
                     f"positivity violated: minimum {low:.3e} below {POSITIVITY_FLOOR}")
-            if low < 0.0:
-                new = np.maximum(new, 0.0)
+            new = np.maximum(new, 0.0)
         return new
 
 

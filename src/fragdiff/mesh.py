@@ -27,11 +27,9 @@ TAIL_FRACTION = 0.05    # the outer share of [0, x_max] whose mass tail_mass_fra
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable 1-D cell mesh with centers, widths and grading metadata."""
+    """Immutable 1-D cell mesh: finite edges from 0, with centers and widths."""
 
     edges: np.ndarray
-    grading: str = "uniform"
-    ratio: float | None = None
     centers: np.ndarray = field(init=False, repr=False)
     widths: np.ndarray = field(init=False, repr=False)
 
@@ -39,6 +37,8 @@ class Mesh:
         edges = np.asarray(self.edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2:
             raise ConfigError("mesh needs at least two edges")
+        if not np.all(np.isfinite(edges)):
+            raise ConfigError("mesh edges must be finite")
         if edges[0] != 0.0:
             raise ConfigError("first edge must be exactly 0")
         if np.any(np.diff(edges) <= 0):
@@ -69,22 +69,21 @@ def build_mesh(x_max: float, n_cells: int, grading: str = "uniform",
     Geometric grading uses dx_{i+1} = ratio * dx_i with ratio in (1, 1.2],
     so the first cell has width x_max * (ratio - 1) / (ratio^N - 1).
     """
-    if not x_max > 0:
-        raise ConfigError(f"x_max must be positive, got {x_max}")
+    if not 0 < x_max < np.inf:
+        raise ConfigError(f"x_max must be positive and finite, got {x_max}")
     if n_cells < 8:
         raise ConfigError(f"n_cells must be >= 8, got {n_cells}")
     if grading not in GRADINGS:
         raise ConfigError(f"grading must be one of {GRADINGS}, got {grading!r}")
     if grading == "uniform":
-        edges = np.linspace(0.0, x_max, n_cells + 1)
-        return Mesh(edges=edges, grading="uniform")
+        return Mesh(edges=np.linspace(0.0, x_max, n_cells + 1))
     if ratio is None or not (1.0 < ratio <= 1.2):
         raise ConfigError(f"ratio must lie in (1, 1.2] for geometric grading, got {ratio}")
     k = np.arange(n_cells + 1, dtype=float)
     edges = x_max * (ratio ** k - 1.0) / (ratio ** n_cells - 1.0)
     edges[0] = 0.0
     edges[-1] = x_max
-    return Mesh(edges=edges, grading="geometric", ratio=ratio)
+    return Mesh(edges=edges)
 
 
 @dataclass
@@ -110,7 +109,7 @@ class State:
 
 
 def require_moment_order(m: float) -> None:
-    if m <= -1.0:
+    if not m > -1.0:
         raise UnsupportedOrderError(f"moment_order must exceed -1, got {m}")
 
 
@@ -136,7 +135,7 @@ def mass(state: State) -> float:
 
 def norm_row(mesh: Mesh, m: float) -> np.ndarray:
     """Weights (xbar_i + xbar_i^m) dx_i of the X_1 + X_m norm; needs m >= 1."""
-    if m < 1.0:
+    if not m >= 1.0:
         raise UnsupportedOrderError(f"weighted norm needs m >= 1, got {m}")
     return (mesh.centers + mesh.centers ** m) * mesh.widths
 

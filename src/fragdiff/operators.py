@@ -92,7 +92,7 @@ def assemble_diffusion(mesh: Mesh, right_bc: str = "noflux",
     """Flux-form second difference with Dirichlet at 0 and configurable right end."""
     if right_bc not in RIGHT_BCS:
         raise ConfigError(f"right_bc must be one of {RIGHT_BCS}, got {right_bc!r}")
-    if diffusion_rate <= 0:
+    if not diffusion_rate > 0:
         raise ConfigError(f"diffusion_rate must be positive, got {diffusion_rate}")
     xc, dx = mesh.centers, mesh.widths
     n = mesh.n_cells
@@ -123,7 +123,6 @@ class BirthOperator:
     dense applied weights instead.
     """
 
-    mesh: Mesh
     death: np.ndarray
     receiver: np.ndarray | None = None
     donor: np.ndarray | None = None
@@ -150,10 +149,6 @@ class BirthOperator:
             return np.triu(np.outer(self.receiver, self.donor), 1)
         return self.dense_applied
 
-    def unit_weights(self) -> np.ndarray:
-        """Weights per unit donor density, w_ij = K_ij / dx_j."""
-        return self.applied_matrix() / self.mesh.widths[None, :]
-
 
 def _assemble_birth_powerlaw(mesh: Mesh, rate: RateModel,
                              kernel: PowerLawKernel) -> BirthOperator:
@@ -174,7 +169,7 @@ def _assemble_birth_powerlaw(mesh: Mesh, rate: RateModel,
     # donor 1 keeps all its fragments and loses nothing.
     death = np.zeros(n)
     death[1:] = edges[1:-1] ** (nu + 2.0) * donor[1:] / (xc[1:] * dx[1:])
-    return BirthOperator(mesh=mesh, death=death, receiver=receiver, donor=donor)
+    return BirthOperator(death=death, receiver=receiver, donor=donor)
 
 
 def _assemble_birth_custom(mesh: Mesh, rate: RateModel,
@@ -203,8 +198,7 @@ def _assemble_birth_custom(mesh: Mesh, rate: RateModel,
         death[j] = (mass_prod[j] - mass_to[j]) / (xc[j] * dx[j])
     if np.any(applied < 0) or np.any(death < -1e-14):
         raise PropertyViolation("negative birth weight from inadmissible coefficients")
-    return BirthOperator(mesh=mesh, death=np.maximum(death, 0.0),
-                         dense_applied=applied)
+    return BirthOperator(death=np.maximum(death, 0.0), dense_applied=applied)
 
 
 def assemble_birth(mesh: Mesh, rate: RateModel, kernel: DaughterKernel) -> BirthOperator:
@@ -330,7 +324,7 @@ def apply_generator(bundle: OperatorBundle, state: State) -> State:
 def kernel_value(t, z) -> np.ndarray:
     """Gaussian heat kernel exp(-z^2 / 4t) / sqrt(4 pi t); t broadcastable."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+    if not np.all(t > 0):
         raise ConfigError("kernel time must be positive")
     z = np.asarray(z, dtype=float)
     return np.exp(-z * z / (4.0 * t)) / np.sqrt(4.0 * np.pi * t)
@@ -371,6 +365,6 @@ def heat_growth_bound(m: float) -> float:
     """
     if m == 1.0:
         return 0.0
-    if m < 3.0:
+    if not m >= 3.0:
         raise ConfigError("growth envelope available for m = 1 or m >= 3")
     return float(4.0 ** (1.0 / (m - 1.0)) * m * (m - 3.0) ** ((m - 3.0) / (m - 1.0)))

@@ -103,9 +103,9 @@ def regularization_indices(n_sequence) -> tuple:
     return seq
 
 
-def solve_steady_regularized(bundle: OperatorBundle, n_sequence=(4, 16, 64, 256),
-                             normalize_mass: float = 1.0) -> RegularizedResult:
-    """Steady profiles for lifted rates a + x/n and their extrapolated limit.
+def solve_steady_regularized(bundle: OperatorBundle,
+                             n_sequence=(4, 16, 64, 256)) -> RegularizedResult:
+    """Unit-mass steady profiles for lifted rates a + x/n and their extrapolated limit.
 
     Preconditions: the base rate must stay positive on the outer decade of
     the domain (otherwise no stationary profile is expected at all).
@@ -123,22 +123,22 @@ def solve_steady_regularized(bundle: OperatorBundle, n_sequence=(4, 16, 64, 256)
     for n in seq:
         rate = RegularizedRate(bundle.rate, n)
         lifted = replace(bundle, rate=rate, birth=assemble_birth(mesh, rate, bundle.kernel))
-        res = solve_steady(lifted, normalize_mass)
+        res = solve_steady(lifted)
         states.append(res.state)
         residuals.append(x1_distance_of(mesh, bundle.apply(res.state.values), 0.0))
     pair_x1 = np.array([x1_distance_of(mesh, a.values, b.values)
                         for a, b in zip(states, states[1:])])
     pair_xm = np.array([weighted_norm_of(mesh, a.values - b.values, PAIRWISE_ORDER)
                         for a, b in zip(states, states[1:])])
-    ratios = pair_x1[:-1] / pair_x1[1:] if pair_x1.size > 1 else np.array([])
-    cauchy_ok = bool(np.all(np.diff(pair_x1) < 0.0)) if pair_x1.size > 1 else True
+    ratios = pair_x1[:-1] / pair_x1[1:]
+    cauchy_ok = bool(np.all(np.diff(pair_x1) < 0.0))
     if not cauchy_ok:
         raise NumericsError(
             "regularized sequence is not contracting; no convergence "
             f"(pairwise X1 distances {pair_x1})")
 
     # remove the exact 1/n term, then Richardson on the n^-2 remainder
-    base = solve_steady(bundle, normalize_mass)
+    base = solve_steady(bundle)
     chi = lift_response(bundle, base.state.values)
     corrected = [st.values - chi / n for st, n in zip(states, seq)]
     richardson = (seq[-1] / seq[-2]) ** 2 - 1.0

@@ -1,6 +1,11 @@
-"""The package's public names: each one resolves and is listed once."""
+"""The package's public names resolve once each, and its rules reject NaN."""
+
+import numpy as np
+import pytest
 
 import fragdiff
+from fragdiff.checks import check_gain_smallness
+from fragdiff.mesh import moment_of, norm_row
 
 
 def test_every_public_name_resolves():
@@ -12,3 +17,46 @@ def test_no_public_name_is_listed_twice():
     repeated = sorted({name for name in fragdiff.__all__
                        if fragdiff.__all__.count(name) > 1})
     assert repeated == []
+
+
+NAN = float("nan")
+MESH = fragdiff.build_mesh(10.0, 16)
+# a rule written `if x <= bound: raise` lets NaN through; each of these must raise
+NAN_CASES = {
+    "PowerRate": (lambda: fragdiff.PowerRate(NAN), "gamma"),
+    "ConstantRate": (lambda: fragdiff.ConstantRate(NAN), "value"),
+    "ShiftedPowerRate": (lambda: fragdiff.ShiftedPowerRate(NAN, 1.0), "offset"),
+    "RegularizedRate": (lambda: fragdiff.RegularizedRate(fragdiff.PowerRate(1.0), NAN),
+                        "n must"),
+    "TableRate-x": (lambda: fragdiff.TableRate([0.0, NAN, 2.0], [1.0, 1.0, 1.0]),
+                    "abscissae"),
+    "TableRate-a": (lambda: fragdiff.TableRate([0.0, 1.0, 2.0], [1.0, NAN, 1.0]),
+                    "nonnegative"),
+    "assemble_diffusion": (lambda: fragdiff.assemble_diffusion(MESH, "noflux", NAN),
+                           "diffusion_rate"),
+    "IntegratorConfig": (lambda: fragdiff.IntegratorConfig(moment_order=NAN), "moment_order"),
+    "output_every": (lambda: fragdiff.IntegratorConfig(output_every=NAN), "output_every"),
+    "moment_of": (lambda: moment_of(MESH, np.ones(MESH.n_cells), NAN), "moment_order"),
+    "norm_row": (lambda: norm_row(MESH, NAN), "m >= 1"),
+    "check_gain_smallness": (lambda: check_gain_smallness(
+        fragdiff.assemble_bundle(MESH, fragdiff.ConstantRate(1.0), fragdiff.PowerLawKernel(0.0)),
+        fragdiff.State(np.ones(MESH.n_cells), MESH), NAN), "m > 1"),
+    "verify_mass_condition": (lambda: fragdiff.verify_mass_condition(
+        fragdiff.PowerLawKernel(0.0), [1.0, NAN]), "donor samples"),
+    "fragment_moment": (lambda: fragdiff.PowerLawKernel(0.0).fragment_moment(NAN, 1.0),
+                        "diverges"),
+    "delta_m": (lambda: fragdiff.delta_m(fragdiff.PowerLawKernel(0.0), NAN), "m > 1"),
+    "moment_ceiling": (lambda: fragdiff.moment_ceiling(
+        fragdiff.PowerRate(1.0), fragdiff.PowerLawKernel(0.0), NAN, 40.0), "m >= 3"),
+    "heat_growth_bound": (lambda: fragdiff.heat_growth_bound(NAN), "m >= 3"),
+    "kernel_value": (lambda: fragdiff.kernel_value(NAN, 0.0), "time"),
+    "Mesh-nan": (lambda: fragdiff.Mesh(edges=[0.0, 1.0, NAN]), "finite"),
+    "Mesh-inf": (lambda: fragdiff.Mesh(edges=[0.0, 1.0, np.inf]), "finite"),
+    "build_mesh-inf": (lambda: fragdiff.build_mesh(np.inf, 16), "x_max"),
+}
+
+
+@pytest.mark.parametrize("call, match", list(NAN_CASES.values()), ids=list(NAN_CASES))
+def test_rules_reject_nan_and_infinite_input(call, match):
+    with pytest.raises(fragdiff.ConfigError, match=match):
+        call()

@@ -20,25 +20,24 @@ def catalog_by_name(name):
 # ---------------------------------------------------------------------------
 
 def test_kato_equality_for_one_signed_profile():
-    report = check_kato(catalog_by_name("x_exp"), WeightSpec("x"))
+    report = check_kato(catalog_by_name("x_exp"), WeightSpec())
     assert report.status == "pass"
     # sign(f) is constant: integrating by parts makes both sides equal
     assert abs(report.margin) <= 1e-8 * report.scale
 
 
 def test_kato_strict_for_sign_changing_profile():
-    report = check_kato(catalog_by_name("shifted_exp"), WeightSpec("power", m=2.0))
+    report = check_kato(catalog_by_name("shifted_exp"), WeightSpec(m=2.0))
     assert report.status == "pass"
     assert report.margin > 1e-3        # genuinely strict inequality
 
 
 def test_kato_all_catalog_and_weights():
     for profile in default_catalog():
-        for weight in (WeightSpec("x"), WeightSpec("power", m=2.0),
-                       WeightSpec("power", m=3.0),
-                       WeightSpec("capped_power", m=2.0, cap=8.0)):
+        for weight in (WeightSpec(), WeightSpec(m=2.0), WeightSpec(m=3.0),
+                       WeightSpec(m=2.0, cap=8.0)):
             report = check_kato(profile, weight)
-            assert report.status == "pass", (profile.name, weight.kind, report)
+            assert report.status == "pass", (profile.name, weight.label, report)
 
 
 def test_kato_random_scalings():
@@ -50,14 +49,14 @@ def test_kato_random_scalings():
                                lambda x, c=c: c * base.d1(x),
                                lambda x, c=c: c * base.d2(x),
                                sign_roots=base.sign_roots)
-        report = check_kato(scaled, WeightSpec("x"))
+        report = check_kato(scaled, WeightSpec())
         assert report.status == "pass"
 
 
 def test_kato_inconclusive_on_missing_roots():
     base = catalog_by_name("shifted_exp")
     hidden = SampleProfile("hidden", base.f, base.d1, base.d2, sign_roots=())
-    report = check_kato(hidden, WeightSpec("x"))
+    report = check_kato(hidden, WeightSpec())
     assert report.status == "inconclusive"
 
 

@@ -212,6 +212,7 @@ t_end = 2.0
     with pytest.warns(UserWarning, match="positivity"):
         code = main(["--config", str(cfg_file), "--out", str(out), "--quiet"])
     assert code == 4
+    assert (out / "diagnostics.jsonl").read_text() == ""     # no record, still a file
 
 
 def test_preset_run_with_task_override(tmp_path):
@@ -226,6 +227,19 @@ def test_preset_run_with_task_override(tmp_path):
             "gain_smallness", "birth_domination"} <= kinds
     statuses = [rec.get("status", "pass") for rec in records]
     assert all(s == "pass" for s in statuses)
+
+
+def test_checks_task_writes_the_kato_records_in_order(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(small_config("checks"))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "--out", str(out), "--quiet"]) == 0
+    kato = [rec for rec in map(json.loads, (out / "diagnostics.jsonl").read_text().splitlines())
+            if rec["kind"] == "kato"]
+    profiles = ["x_exp", "shifted_exp", "sin_exp", "odd_gauss", "two_roots"]
+    assert [(rec["profile"], rec["weight"]) for rec in kato] == [
+        (name, weight) for name in profiles for weight in ("x", "power", "capped_power")]
+    assert all(rec["status"] == "pass" for rec in kato)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_diffusion_is_symmetrised_by_cell_widths(grading, right_bc, rate):
 # ---------------------------------------------------------------------------
 
 def test_birth_triangular_and_nonnegative(mitosis_512):
-    w = mitosis_512.birth.unit_weights()
+    w = mitosis_512.birth.applied_matrix() / mitosis_512.mesh.widths
     assert np.allclose(np.tril(w), 0.0)
     assert np.all(w >= 0.0)
     assert np.all(mitosis_512.death >= 0.0)
@@ -99,7 +99,7 @@ def test_birth_triangular_and_nonnegative(mitosis_512):
 def test_binary_kernel_unit_weights(mitosis_512):
     # b = 2/y deposits uniformly: weights approach 2 / xbar_j per donor
     mesh = mitosis_512.mesh
-    w = mitosis_512.birth.unit_weights()
+    w = mitosis_512.birth.applied_matrix() / mesh.widths     # per unit donor density
     j = 400
     col = w[:j, j]
     assert np.allclose(col, col[0])
@@ -151,7 +151,7 @@ def test_custom_kernel_birth_matches_powerlaw(rate, mesh):
 
 def test_zero_rate_gives_zero_birth(mesh_512):
     bundle_birth = assemble_birth(mesh_512, ConstantRate(1e-300), PowerLawKernel(0.0))
-    assert np.max(bundle_birth.unit_weights()) < 1e-290
+    assert np.max(bundle_birth.applied_matrix() / mesh_512.widths) < 1e-290
 
 
 # ---------------------------------------------------------------------------
