@@ -234,7 +234,7 @@ def check_gain_smallness(bundle: OperatorBundle, initial: State, m: float,
     n_steps = step_count(t_max, dt, "t_max")
     # the absorption flow: implicit diffusion, explicit death (IMEX Euler without gain)
     positivity_budget(bundle, dt, "imex_euler")      # warns beyond 1
-    solve = bundle.diffusion.factor(1.0, -dt)
+    solve = bundle.diffusion.factor(-dt)
     values, row = initial.values, norm_row(mesh, m)     # weighted_norm_of's dot
     gain_norm = np.empty(n_steps + 1)
     gain_norm[0] = row @ np.abs(bundle.birth.apply(values))

@@ -114,8 +114,9 @@ class ConstantRate(RateModel):
     value: float
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise ConfigError(f"value must be positive for a constant rate, got {self.value}")
+        if not 0 < self.value < np.inf:
+            raise ConfigError(
+                f"value must be positive and finite for a constant rate, got {self.value}")
 
     def __call__(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.value)
@@ -134,8 +135,9 @@ class PowerRate(RateModel):
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma >= 0:
-            raise ConfigError(f"gamma must be >= 0 (local boundedness), got {self.gamma}")
+        if not 0 <= self.gamma < np.inf:
+            raise ConfigError(
+                f"gamma must be finite and >= 0 (local boundedness), got {self.gamma}")
 
     def __call__(self, x):
         return np.asarray(x, dtype=float) ** self.gamma
@@ -155,8 +157,8 @@ class ShiftedPowerRate(RateModel):
     gamma: float
 
     def __post_init__(self):
-        if not self.offset > 0:
-            raise ConfigError(f"offset must be positive, got {self.offset}")
+        if not 0 < self.offset < np.inf:
+            raise ConfigError(f"offset must be positive and finite, got {self.offset}")
         PowerRate(self.gamma)   # the x^gamma part holds the rule on gamma
 
     def __call__(self, x):
@@ -183,10 +185,10 @@ class TableRate(RateModel):
         a = np.asarray(self.a_nodes, dtype=float)
         if x.ndim != 1 or x.size < 2 or x.shape != a.shape:
             raise ConfigError("table rate needs matching 1-D node arrays")
-        if not np.all(np.diff(x) > 0):
-            raise ConfigError("table abscissae must be strictly increasing")
-        if not np.all(a >= 0):
-            raise ConfigError("table rate must be nonnegative")
+        if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
+            raise ConfigError("table abscissae must be finite and strictly increasing")
+        if not np.all((a >= 0) & (a < np.inf)):
+            raise ConfigError("table rate must be finite and nonnegative")
         object.__setattr__(self, "x_nodes", x)
         object.__setattr__(self, "a_nodes", a)
 
@@ -205,8 +207,8 @@ class RegularizedRate(RateModel):
     n: int
 
     def __post_init__(self):
-        if not self.n >= 1:
-            raise ConfigError(f"n must be >= 1 for the lift x/n, got {self.n}")
+        if not 1 <= self.n < np.inf:
+            raise ConfigError(f"n must be finite and >= 1 for the lift x/n, got {self.n}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -5,8 +5,8 @@ and '#' comments.  Unknown sections or keys are hard errors anchored to
 their line.  A `preset` key in [run] starts from a named scenario; any
 key given explicitly afterwards overrides the preset value.
 
-Every value is checked at parse time, by building the cheap objects a run
-uses (mesh, diffusion, rate, kernel, integrator, initial shape, n-sequence,
+Every value is checked at parse time, by building the objects a run uses
+(its bundle through `build_bundle`, integrator, initial shape, n-sequence,
 eigenvalue count and steady mass): the constructor that consumes a value
 states its rule.  Errors read `<file>:<line>: [section] <message>`, at the
 offending key, or at its section header when a preset or default gave it.
@@ -25,13 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import stationary
-from .coefficients import (ConstantRate, DaughterKernel, PowerLawKernel,
-                           PowerRate, RateModel, RegularizedRate,
-                           ShiftedPowerRate)
+from .coefficients import (ConstantRate, PowerLawKernel, PowerRate,
+                           RegularizedRate, ShiftedPowerRate)
 from .errors import ConfigError
 from .evolution import IntegratorConfig
-from .mesh import Mesh, State, build_mesh, moment_of
-from .operators import OperatorBundle, assemble_bundle, assemble_diffusion
+from .mesh import State, build_mesh, moment_of
+from .operators import OperatorBundle, assemble_bundle
 from .spectral import require_modes
 
 # section -> key -> (type, default); default None means the key is optional
@@ -162,11 +161,8 @@ def parse_config_text(text: str, source: str = "<memory>") -> RunConfig:
     if missing:
         raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}")
     cfg = RunConfig(sections=merged, source=source, lines=lines)
-    try:    # the cheap objects of a run: their constructors check every value
-        mesh = build_domain(cfg)
-        assemble_diffusion(mesh, cfg["domain"]["right_bc"], cfg["coefficients"]["diffusion"])
-        build_rate(cfg)
-        build_kernel(cfg)
+    try:    # the objects of a run: their constructors check every value
+        mesh = build_bundle(cfg).mesh
         build_integrator(cfg)
         _initial_shape(cfg["initial"])
         build_n_sequence(cfg)
@@ -222,29 +218,15 @@ _SHAPES = {
 }
 
 
-def build_rate(cfg: RunConfig) -> RateModel:
-    co = cfg["coefficients"]
+def build_bundle(cfg: RunConfig) -> OperatorBundle:
+    dom, co = cfg["domain"], cfg["coefficients"]
+    mesh = build_mesh(dom["x_max"], dom["cells"], dom["grading"], dom.get("ratio"))
     rate = _choose(_RATES, "rate", co["rate"])(co)
     if "regularize_n" in co:
         rate = RegularizedRate(rate, co["regularize_n"])
-    return rate
-
-
-def build_kernel(cfg: RunConfig) -> DaughterKernel:
-    co = cfg["coefficients"]
-    return _choose(_KERNELS, "kernel", co["kernel"])(co)
-
-
-def build_domain(cfg: RunConfig) -> Mesh:
-    dom = cfg["domain"]
-    return build_mesh(dom["x_max"], dom["cells"], dom["grading"], dom.get("ratio"))
-
-
-def build_bundle(cfg: RunConfig) -> OperatorBundle:
-    mesh = build_domain(cfg)
-    return assemble_bundle(mesh, build_rate(cfg), build_kernel(cfg),
-                           right_bc=cfg["domain"]["right_bc"],
-                           diffusion_rate=cfg["coefficients"]["diffusion"])
+    kernel = _choose(_KERNELS, "kernel", co["kernel"])(co)
+    return assemble_bundle(mesh, rate, kernel, right_bc=dom["right_bc"],
+                           diffusion_rate=co["diffusion"])
 
 
 def build_integrator(cfg: RunConfig) -> IntegratorConfig:
@@ -264,7 +246,7 @@ def _initial_shape(ini: dict):
     """The [initial] rules; returns the unnormalised profile shape(ini, bundle)."""
     shape = _choose(_SHAPES, "kind", ini["kind"])
     for key in ("scale", "width"):
-        if ini[key] <= 0:
+        if not ini[key] > 0:
             raise ConfigError(f"{key} must be positive, got {ini[key]}")
     stationary.require_mass(ini["mass"])
     return shape

@@ -42,8 +42,8 @@ POSITIVITY_FLOOR = -1e-13
 def _check_step(scheme: str, dt: float | None) -> None:
     if scheme not in SCHEMES:
         raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if dt is not None and not dt > 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+    if dt is not None and not 0 < dt < math.inf:
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
 
 
 def step_count(t_end: float, dt: float, name: str = "t_end") -> int:
@@ -51,7 +51,8 @@ def step_count(t_end: float, dt: float, name: str = "t_end") -> int:
     if not 0 < t_end < math.inf:
         raise ConfigError(f"{name} must be positive and finite, got {t_end}")
     n_steps = round(t_end / dt) if dt > 0 else 0     # a dt <= 0 divides nothing
-    if abs(n_steps * dt - t_end) > 1e-9 * t_end:
+    # written so that a NaN (dt = inf gives 0 * inf) fails the rule
+    if not abs(n_steps * dt - t_end) <= 1e-9 * t_end:
         raise ConfigError(f"{name} = {t_end} is not a multiple of dt = {dt}")
     return n_steps
 
@@ -114,7 +115,7 @@ class Stepper:
             self._solve = factor(bundle, 1.0, -dt)
         else:   # the diffusion half of the IMEX schemes
             theta = 1.0 if scheme == "imex_euler" else 0.5
-            self._solve = bundle.diffusion.factor(1.0, -theta * dt)
+            self._solve = bundle.diffusion.factor(-theta * dt)
 
     def advance(self, values: np.ndarray) -> np.ndarray:
         dt, bundle, solve = self.dt, self.bundle, self._solve

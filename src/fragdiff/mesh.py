@@ -109,8 +109,8 @@ class State:
 
 
 def require_moment_order(m: float) -> None:
-    if not m > -1.0:
-        raise UnsupportedOrderError(f"moment_order must exceed -1, got {m}")
+    if not -1.0 < m < np.inf:
+        raise UnsupportedOrderError(f"moment_order must be finite and exceed -1, got {m}")
 
 
 def moment_row(mesh: Mesh, m: float) -> np.ndarray:

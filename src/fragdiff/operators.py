@@ -67,15 +67,15 @@ class Tridiagonal:
         out[1:] += self.lower * v[:-1]
         return out
 
-    def factor(self, alpha: float, beta: float) -> Callable[[np.ndarray], np.ndarray]:
-        """Factor alpha*I + beta*this once; return solve(rhs).
+    def factor(self, beta: float) -> Callable[[np.ndarray], np.ndarray]:
+        """Factor I + beta*this once; return solve(rhs).
 
-        The symmetric diag(w)(alpha I + beta this) is factored as L D L^T
-        (LAPACK pttrf, no pivoting) and solve returns pttrs(w * rhs).  Raises
+        The symmetric diag(w)(I + beta this) is factored as L D L^T (LAPACK
+        pttrf, no pivoting) and solve returns pttrs(w * rhs).  Raises
         NumericsError unless that matrix is positive definite.
         """
         w = self.symmetriser
-        d, e, info = lapack.dpttrf(w * (alpha + beta * self.diag),
+        d, e, info = lapack.dpttrf(w * (1.0 + beta * self.diag),
                                    beta * (w[:-1] * self.upper))
         if info != 0:
             raise NumericsError(
@@ -92,20 +92,13 @@ def assemble_diffusion(mesh: Mesh, right_bc: str = "noflux",
     """Flux-form second difference with Dirichlet at 0 and configurable right end."""
     if right_bc not in RIGHT_BCS:
         raise ConfigError(f"right_bc must be one of {RIGHT_BCS}, got {right_bc!r}")
-    if not diffusion_rate > 0:
-        raise ConfigError(f"diffusion_rate must be positive, got {diffusion_rate}")
+    if not 0 < diffusion_rate < np.inf:
+        raise ConfigError(f"diffusion_rate must be positive and finite, got {diffusion_rate}")
     xc, dx = mesh.centers, mesh.widths
-    n = mesh.n_cells
-    gap = xc[1:] - xc[:-1]
-    lower = np.zeros(n - 1)
-    diag = np.zeros(n)
-    upper = np.zeros(n - 1)
-    inv = 1.0 / gap
-    # interior faces couple neighbours
-    diag[:-1] -= inv / dx[:-1]
-    upper += inv / dx[:-1]
-    lower += inv / dx[1:]
-    diag[1:] -= inv / dx[1:]
+    inv = 1.0 / (xc[1:] - xc[:-1])
+    # interior face i + 1/2 couples cells i and i + 1 and drains both diagonals
+    upper, lower = inv / dx[:-1], inv / dx[1:]
+    diag = -np.append(upper, 0.0) - np.append(0.0, lower)
     # left face: F_0 = phi_0 / xbar_0 (profile vanishing at x = 0)
     diag[0] -= 1.0 / (xc[0] * dx[0])
     if right_bc == "dirichlet":

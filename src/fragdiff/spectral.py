@@ -112,7 +112,6 @@ class DecayFit:
     status: str                  # "ok", "not_applicable", "no_decay"
     nu_hat: float | None = None
     r_squared: float | None = None
-    window: tuple | None = None
     n_points: int = 0
 
 
@@ -149,5 +148,4 @@ def decay_rate(trajectory: Trajectory, reference: State) -> DecayFit:
     ss_res = float(np.sum((dw - fitted) ** 2))
     ss_tot = float(np.sum((dw - dw.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return DecayFit(status="ok", nu_hat=-slope, r_squared=r2,
-                    window=(float(tw[0]), float(tw[-1])), n_points=int(mask.sum()))
+    return DecayFit(status="ok", nu_hat=-slope, r_squared=r2, n_points=int(mask.sum()))

@@ -37,9 +37,9 @@ class SteadyResult:
 
 
 def require_mass(mass: float) -> None:
-    """A mass to normalise a profile to must be nonnegative."""
-    if not mass >= 0:
-        raise ConfigError(f"mass must be >= 0, got {mass}")
+    """A mass to normalise a profile to must be finite and nonnegative."""
+    if not 0 <= mass < np.inf:
+        raise ConfigError(f"mass must be finite and >= 0, got {mass}")
 
 
 def _solve_pinned(bundle: OperatorBundle, rhs: np.ndarray, target_mass: float) -> np.ndarray:

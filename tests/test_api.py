@@ -1,4 +1,4 @@
-"""The package's public names resolve once each, and its rules reject NaN."""
+"""The package's public names resolve once each, and its rules reject NaN and inf."""
 
 import numpy as np
 import pytest
@@ -53,6 +53,26 @@ NAN_CASES = {
     "Mesh-nan": (lambda: fragdiff.Mesh(edges=[0.0, 1.0, NAN]), "finite"),
     "Mesh-inf": (lambda: fragdiff.Mesh(edges=[0.0, 1.0, np.inf]), "finite"),
     "build_mesh-inf": (lambda: fragdiff.build_mesh(np.inf, 16), "x_max"),
+    "ConstantRate-inf": (lambda: fragdiff.ConstantRate(np.inf),
+                         "value must be positive and finite"),
+    "PowerRate-inf": (lambda: fragdiff.PowerRate(np.inf), "gamma must be finite"),
+    "ShiftedPowerRate-offset-inf": (lambda: fragdiff.ShiftedPowerRate(np.inf, 1.0),
+                                    "offset must be positive and finite"),
+    "ShiftedPowerRate-gamma-inf": (lambda: fragdiff.ShiftedPowerRate(1.0, np.inf),
+                                   "gamma must be finite"),
+    "RegularizedRate-inf": (lambda: fragdiff.RegularizedRate(fragdiff.PowerRate(1.0), np.inf),
+                            "n must be finite"),
+    "TableRate-x-inf": (lambda: fragdiff.TableRate([0.0, 1.0, np.inf], [1.0, 1.0, 1.0]),
+                        "abscissae must be finite"),
+    "TableRate-a-inf": (lambda: fragdiff.TableRate([0.0, 1.0, 2.0], [1.0, np.inf, 1.0]),
+                        "must be finite and nonnegative"),
+    "assemble_diffusion-inf": (lambda: fragdiff.assemble_diffusion(MESH, "noflux", np.inf),
+                               "diffusion_rate must be positive and finite"),
+    "moment_order-inf": (lambda: fragdiff.IntegratorConfig(moment_order=np.inf),
+                         "moment_order must be finite"),
+    "require_mass-inf": (lambda: fragdiff.solve_steady(fragdiff.assemble_bundle(
+        MESH, fragdiff.ConstantRate(1.0), fragdiff.PowerLawKernel(0.0)), normalize_mass=np.inf),
+        "mass must be finite"),
 }
 
 

@@ -135,6 +135,14 @@ def test_gain_smallness_needs_positive_t_max(t_max):
         check_gain_smallness(bundle, f, m=2.0, t_max=t_max, dt=0.1)
 
 
+def test_gain_smallness_rejects_infinite_dt():
+    mesh = build_mesh(40.0, 64)
+    bundle = assemble_bundle(mesh, ConstantRate(1.0), PowerLawKernel(0.0))
+    f = State(values=mesh.centers * np.exp(-mesh.centers), mesh=mesh)
+    with pytest.raises(ConfigError, match="t_max = 0.5 is not a multiple of dt = inf"):
+        check_gain_smallness(bundle, f, 2.0, dt=np.inf)
+
+
 def test_gain_smallness_scale_invariant():
     mesh = build_mesh(40.0, 256)
     bundle = assemble_bundle(mesh, PowerRate(1.0), PowerLawKernel(0.0))

@@ -48,6 +48,33 @@ rate_gamma = -0.5
         parse_config_text(text)
 
 
+def test_build_bundle_equals_the_direct_assembly():
+    text = """
+[run]
+task = steady
+[domain]
+x_max = 30
+cells = 96
+grading = geometric
+ratio = 1.01
+right_bc = dirichlet
+[coefficients]
+rate = shifted_power
+rate_value = 2.0    # read by rate = constant only
+rate_offset = 0.5
+rate_gamma = 1.5
+regularize_n = 16
+kernel = powerlaw
+kernel_nu = -0.5
+diffusion = 0.5
+"""
+    direct = fragdiff.assemble_bundle(
+        fragdiff.build_mesh(30.0, 96, "geometric", 1.01),
+        fragdiff.RegularizedRate(fragdiff.ShiftedPowerRate(0.5, 1.5), 16),
+        fragdiff.PowerLawKernel(-0.5), right_bc="dirichlet", diffusion_rate=0.5)
+    assert np.all(build_bundle(parse_config_text(text)).dense() == direct.dense())
+
+
 def test_unknown_key_is_line_anchored_error():
     text = "[run]\npreset = mitosis\n[domain]\nx_mox = 12\n"
     with pytest.raises(ConfigError, match=":4:"):
@@ -299,7 +326,7 @@ def test_negative_steady_mass_exits_2_at_its_line(tmp_path, capsys):
                         "[initial]\nmass = 2\n[steady]\nmass = -1\n")
     assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith(
-        f"config error: {cfg_file}:9: [steady] mass must be >= 0, got -1.0")
+        f"config error: {cfg_file}:9: [steady] mass must be finite and >= 0, got -1.0")
 
 
 def test_too_many_modes_for_the_mesh_exit_2_at_their_line(tmp_path, capsys):

@@ -344,6 +344,12 @@ def test_t_end_must_be_a_multiple_of_dt():
             IntegratorConfig(t_end=t_end)
 
 
+def test_infinite_dt_is_rejected():
+    # dt = inf makes n_steps * dt = 0 * inf = NaN in the multiple-of-dt rule
+    with pytest.raises(ConfigError, match="dt must be positive and finite, got inf"):
+        IntegratorConfig(dt=np.inf, t_end=1.0)
+
+
 def test_default_dt_run_ends_at_t_end(mitosis_512):
     t_end = 0.01
     cap = default_dt(mitosis_512)

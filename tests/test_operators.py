@@ -60,15 +60,15 @@ def test_tridiagonal_factor_matches_dense_solve(grading, right_bc, theta, rng):
         np.diag(tri.diag) + np.diag(tri.upper, 1) + np.diag(tri.lower, -1)))
     rhs = rng.random(mesh.n_cells)
     expected = np.linalg.solve(dense, rhs)
-    got = tri.factor(1.0, -theta * dt)(rhs)
+    got = tri.factor(-theta * dt)(rhs)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_singular_tridiagonal_raises(mesh_512):
-    # the diffusion operator itself is negative definite: LDL^T must refuse it
+    # L has eigenvalues on both sides of -1, so I + L is indefinite: LDL^T must refuse it
     from fragdiff import NumericsError
     with pytest.raises(NumericsError, match="not positive definite"):
-        assemble_diffusion(mesh_512).factor(0.0, 1.0)
+        assemble_diffusion(mesh_512).factor(1.0)
 
 
 @pytest.mark.parametrize("rate", [1.0, 0.3])

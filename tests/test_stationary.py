@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import eigvals
+from scipy.special import airy
 
 from fragdiff import (ConstantRate, IntegratorConfig, OperatorBundle,
                       PowerLawKernel, PowerRate, PropertyViolation, State,
@@ -29,6 +30,20 @@ def test_steady_matches_closed_form_second_order():
         errors.append(x1_error_to_equilibrium(result))
     assert errors[0] / errors[1] > 3.5
     assert errors[1] < 7e-5
+
+
+def test_linear_rate_steady_matches_airy_closed_form_second_order():
+    # rate x, binary kernel: the unit-mass equilibrium is x Ai(x) / Ai(0), since
+    # Ai'' = x Ai gives int_0^inf x^2 Ai(x) dx = Ai(0)
+    errors = []
+    for n in (1024, 2048, 4096):
+        mesh = build_mesh(20.0, n)
+        result = solve_steady(assemble_bundle(mesh, PowerRate(1.0), PowerLawKernel(0.0)))
+        exact = mesh.centers * airy(mesh.centers)[0] / airy(0.0)[0]
+        errors.append(x1_distance(result.state, State(exact, mesh)))
+    assert errors[0] / errors[1] >= 3.9
+    assert errors[1] / errors[2] >= 3.9
+    assert errors[2] <= 2e-6
 
 
 def test_steady_scaling_linearity(mitosis_512):
