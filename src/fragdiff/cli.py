@@ -25,8 +25,8 @@ from .checks import (WeightSpec, birth_domination, check_gain_smallness,
                      check_interpolation, check_kato, default_catalog,
                      kernel_positivity_samples)
 from .coefficients import delta_m
-from .config import (RunConfig, build_bundle, build_initial, build_integrator,
-                     build_n_sequence, parse_config, preset_config)
+from .config import (RunConfig, build_initial, build_integrator, build_n_sequence,
+                     parse_config, preset_config)
 from .errors import ConfigError, NumericsError, PropertyViolation
 from .evolution import evolve
 from .mesh import State, mass
@@ -205,7 +205,7 @@ def main(argv=None) -> int:
         root = args.out or Path(os.environ.get("FRAGDIFF_OUT_ROOT", ".")) / "fragdiff-run"
         out = Path(root)
         out.mkdir(parents=True, exist_ok=True)
-        bundle = build_bundle(cfg)
+        bundle = cfg.bundle       # built by the parse; the task does not change it
         (out / "run_meta.json").write_text(
             json.dumps(_run_meta(cfg, bundle), indent=2, sort_keys=True) + "\n")
         diag: list[str] = []

@@ -8,7 +8,8 @@ key given explicitly afterwards overrides the preset value.
 Every value is checked at parse time, by building the objects a run uses
 (its bundle through `build_bundle`, integrator, initial shape, n-sequence,
 eigenvalue count and steady mass): the constructor that consumes a value
-states its rule.  Errors read `<file>:<line>: [section] <message>`, at the
+states its rule.  The bundle is kept as `RunConfig.bundle`, outside the
+config echo.  Errors read `<file>:<line>: [section] <message>`, at the
 offending key, or at its section header when a preset or default gave it.
 Numbers must be finite, and an explicit dt must divide t_end.  `_SCHEMA`
 gives each key's type and default; `[run] task`, `[domain] x_max` and
@@ -85,6 +86,7 @@ class RunConfig:
     sections: dict
     source: str = "<memory>"
     lines: dict = field(default_factory=dict)   # section or (section, key) -> line
+    bundle: OperatorBundle | None = field(default=None, repr=False, compare=False)
 
     def __getitem__(self, section: str) -> dict:
         return self.sections[section]
@@ -162,7 +164,8 @@ def parse_config_text(text: str, source: str = "<memory>") -> RunConfig:
         raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}")
     cfg = RunConfig(sections=merged, source=source, lines=lines)
     try:    # the objects of a run: their constructors check every value
-        mesh = build_bundle(cfg).mesh
+        cfg.bundle = build_bundle(cfg)
+        mesh = cfg.bundle.mesh
         build_integrator(cfg)
         _initial_shape(cfg["initial"])
         build_n_sequence(cfg)

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from fragdiff import (ConfigError, ConstantRate, CustomKernel, PowerLawKernel,
-                      PowerRate, State, assemble_bundle, build_mesh)
+from fragdiff import (ConfigError, ConstantRate, CustomKernel, NumericsError,
+                      PowerLawKernel, PowerRate, State, assemble_bundle, build_mesh)
+from fragdiff import checks
 from fragdiff.checks import (SampleProfile, WeightSpec, check_gain_smallness,
                              check_interpolation, check_kato, default_catalog,
                              kernel_positivity_samples)
@@ -13,6 +17,91 @@ def catalog_by_name(name):
         if profile.name == name:
             return profile
     raise KeyError(name)
+
+
+# ---------------------------------------------------------------------------
+# adaptive Gauss-Kronrod quadrature
+# ---------------------------------------------------------------------------
+
+EPSABS = checks._QUAD_OPTS["epsabs"]
+
+
+@pytest.mark.parametrize("m", [-0.5, 0.0, 0.5, 0.9])
+def test_integrate_meets_gamma_closed_form(m):
+    value = checks._integrate(lambda x: x ** m * x * np.exp(-x), ())
+    assert abs(value - math.gamma(m + 2.0)) <= EPSABS
+
+
+def test_integrate_resolves_a_kink_between_split_points():
+    # x_exp's f'' = (x - 2) e^-x changes sign at 2, inside the piece [0.5, 2.5625]
+    value = checks._integrate(lambda x: x * np.abs((x - 2.0) * np.exp(-x)),
+                              tuple(np.linspace(0.5, 50, 25)))
+    assert abs(value - 8.0 * np.exp(-2.0)) <= EPSABS
+    assert abs(checks._integrate(lambda x: x * x * np.exp(-x), ()) - 2.0) <= EPSABS
+
+
+def test_integrate_rule_is_exact_to_its_degree():
+    # the 21-point Kronrod rule is exact to degree 31, its 10-point Gauss rule to 19
+    kronrod, gauss = checks._GK_RULES.T
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(kronrod @ checks._GK_NODES ** k - exact) <= 1e-14, k
+        if k < 20:
+            assert abs(gauss @ checks._GK_NODES ** k - exact) <= 1e-14, k
+
+
+def test_integrate_rejects_a_divergent_integral():
+    with pytest.raises(NumericsError, match="within 400 intervals"):
+        checks._integrate(lambda x: 1.0 / x, ())
+    with pytest.raises(NumericsError, match="not finite"):
+        checks._integrate(lambda x: np.full_like(x, np.nan), ())
+
+
+def _quad_oracle(fn, points):
+    pts = [0.0] + sorted({p for p in points if 0.0 < p < np.inf}) + [np.inf]
+    return sum(quad(fn, lo, hi, **checks._QUAD_OPTS)[0] for lo, hi in zip(pts[:-1], pts[1:]))
+
+
+def _record_integrals(monkeypatch):
+    calls = []
+    integrate = checks._integrate
+
+    def recording(fn, points):
+        value = integrate(fn, points)
+        calls.append((fn, points, value))
+        return value
+
+    monkeypatch.setattr(checks, "_integrate", recording)
+    return calls
+
+
+def test_cli_catalog_integrals_match_scipy_quad(monkeypatch):
+    # the integrals behind the kato and interpolation records of the checks task
+    calls = _record_integrals(monkeypatch)
+    for profile in default_catalog():
+        for weight in (WeightSpec(), WeightSpec(m=2.0), WeightSpec(m=2.0, cap=10.0)):
+            check_kato(profile, weight)
+    for profile in default_catalog()[:3]:
+        for m in (-0.5, 0.0, 0.5, 0.9):
+            check_interpolation(profile, m)
+    assert len(calls) == 5 * 3 * 2 + 3 * 4 * 3
+    for fn, points, value in calls:
+        assert abs(value - _quad_oracle(fn, points)) <= 1e-11
+
+
+def test_catalog_integrals_meet_the_tolerance_against_scipy_quad(monkeypatch):
+    # wider orders and weights: at m = -0.9 the endpoint singularity x^-0.9
+    # leaves errors near the relative tolerance (up to 2e-10 on an integral of 26)
+    calls = _record_integrals(monkeypatch)
+    for profile in default_catalog():
+        for weight in (WeightSpec(m=3.0), WeightSpec(m=2.0, cap=8.0)):
+            check_kato(profile, weight)
+        for m in (-0.9, 0.99):
+            check_interpolation(profile, m)
+    assert len(calls) == 5 * (2 * 2 + 2 * 3)
+    for fn, points, value in calls:
+        oracle = _quad_oracle(fn, points)
+        assert abs(value - oracle) <= max(EPSABS, checks._QUAD_OPTS["epsrel"] * abs(oracle))
 
 
 # ---------------------------------------------------------------------------

@@ -377,14 +377,43 @@ def test_unusable_numbers_exit_2_without_traceback(tmp_path, capsys, bad):
     assert "Traceback" not in err
 
 
-def test_module_runs_as_cli():
+def _run_with_src(*args):
+    """Run the interpreter in a fresh process that imports this checkout's package."""
     src = Path(fragdiff.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "fragdiff.cli", "--preset", "nope"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_module_runs_as_cli():
+    proc = _run_with_src("-m", "fragdiff.cli", "--preset", "nope")
     assert proc.returncode == 2
     assert "unknown preset 'nope'" in proc.stderr
+
+
+def test_cli_import_loads_no_scipy_integrate_optimize_or_special():
+    # scipy.integrate brings scipy.optimize and scipy.special: about 0.3 s and
+    # 19 MB at every CLI start, read by no task
+    proc = _run_with_src("-c", "import sys, fragdiff.cli; print([name for name in "
+                         "('scipy.integrate', 'scipy.optimize', 'scipy.special') "
+                         "if name in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_run_assembles_its_bundle_once(tmp_path, monkeypatch):
+    cells = []
+    assemble = fragdiff.config.assemble_bundle
+
+    def counting(mesh, *args, **kwargs):
+        cells.append(mesh.n_cells)
+        return assemble(mesh, *args, **kwargs)
+
+    monkeypatch.setattr("fragdiff.config.assemble_bundle", counting)
+    assert main(["--preset", "mitosis", "--task", "steady", "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    assert cells == [2048]
 
 
 def test_moments_csv_writes_the_configured_order(tmp_path):
