@@ -293,12 +293,13 @@ def check_gain_smallness(bundle: OperatorBundle, initial: State, m: float,
     n_steps = step_count(t_max, dt, "t_max")
     # the absorption flow: implicit diffusion, explicit death (IMEX Euler without gain)
     positivity_budget(bundle, dt, "imex_euler")      # warns beyond 1
-    solve = bundle.diffusion.factor(-dt)
+    solve = bundle.diffusion.factor(-dt)    # takes w-weighted right-hand sides
+    keep = bundle.diffusion.symmetriser * (1.0 - dt * bundle.death)
     values, row = initial.values, norm_row(mesh, m)     # weighted_norm_of's dot
     gain_norm = np.empty(n_steps + 1)
     gain_norm[0] = row @ np.abs(bundle.birth.apply(values))
     for k in range(1, n_steps + 1):
-        values = solve(values - dt * (bundle.death * values))
+        values = solve(keep * values)
         gain_norm[k] = row @ np.abs(bundle.birth.apply(values))
     t_grid = dt * np.arange(n_steps + 1)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * dt * (gain_norm[1:] + gain_norm[:-1]))])

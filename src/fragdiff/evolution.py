@@ -11,9 +11,14 @@ the truncation boundary.  Schemes:
 
 A `Stepper` factors its system once: the diffusion system of the IMEX
 schemes through `Tridiagonal.factor`, the whole generator through `factor`.
-`Stepper.step` maps cell values to cell values; `evolve` steps raw arrays
-and takes every recorded reduction as a dot product with a weight row
-built once per run.
+The IMEX solves take right-hand sides weighted by the symmetriser w, and
+imex_euler scales its reaction rows by it once, so that one reaction apply
+forms its right-hand side dt w B v + w (1 - dt d) v.  `Stepper.step` maps
+cell values to cell values.  `evolve` steps raw arrays and copies each state
+into a block of RECORD_BLOCK rows; once the block is full, it takes every
+recorded reduction of those steps as one `np.vecdot` of the block with a
+weight row built once per run.  Each row's dot is the same BLAS dot as the
+public reduction's, so the records equal the reductions bit for bit.
 
 imex_euler preserves nonnegativity when dt * max(death) <= 1 (the right-hand
 side stays nonnegative and the diffusion system is an M-matrix); the default
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,6 +42,7 @@ from .operators import OperatorBundle, factor
 
 SCHEMES = ("imex_euler", "crank_nicolson_imex", "fully_implicit")
 POSITIVITY_FLOOR = -1e-13
+RECORD_BLOCK = 16   # states per recording block: 256 KB at N = 2048
 
 
 def _check_step(scheme: str, dt: float | None) -> None:
@@ -113,20 +119,32 @@ class Stepper:
         self.positivity_budget = positivity_budget(bundle, dt, scheme)
         if scheme == "fully_implicit":
             self._solve = factor(bundle, 1.0, -dt)
-        else:   # the diffusion half of the IMEX schemes
-            theta = 1.0 if scheme == "imex_euler" else 0.5
-            self._solve = bundle.diffusion.factor(-theta * dt)
+            return
+        # the diffusion half of the IMEX schemes; its solve takes right-hand
+        # sides weighted by the symmetriser w and overwrites them
+        theta = 1.0 if scheme == "imex_euler" else 0.5
+        self._solve = bundle.diffusion.factor(-theta * dt)
+        if scheme == "imex_euler":
+            # its right-hand side w (v + dt (B v - d v)) is the reaction of a
+            # scaled copy: gain rows times dt w, "death" -w (1 - dt d)
+            w, birth = bundle.diffusion.symmetriser, bundle.birth
+            scale = dt * w
+            gain = {"receiver": scale * birth.receiver} if birth.separable \
+                else {"dense_applied": scale[:, None] * birth.dense_applied}
+            keep = w * (1.0 - dt * bundle.death)
+            self._explicit = replace(bundle, birth=replace(birth, death=-keep, **gain))
 
     def advance(self, values: np.ndarray) -> np.ndarray:
         dt, bundle, solve = self.dt, self.bundle, self._solve
         if self.scheme == "imex_euler":
-            return solve(values + dt * bundle.apply_reaction(values))
+            return solve(self._explicit.apply_reaction(values))
         if self.scheme == "crank_nicolson_imex":
+            w = bundle.diffusion.symmetriser
             half_l = values + 0.5 * dt * bundle.diffusion.apply(values)
             reaction = bundle.apply_reaction(values)
-            predictor = solve(half_l + dt * reaction)
+            predictor = solve(w * (half_l + dt * reaction))
             reaction = 0.5 * (reaction + bundle.apply_reaction(predictor))
-            return solve(half_l + dt * reaction)
+            return solve(w * (half_l + dt * reaction))
         return solve(values)
 
     def step(self, values: np.ndarray) -> np.ndarray:
@@ -180,37 +198,53 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
     stepper = Stepper(bundle, dt, config.scheme)
     mesh = bundle.mesh
     orders = (0.0, 1.0, 2.0, float(config.moment_order))
-    # the weight rows of the public reductions, dotted one at a time (a
-    # (4, N) matrix-vector product can differ from them in the last bit)
-    rows = [moment_row(mesh, m) for m in orders]
-    mass_row, tail_cells = rows[1], mesh.tail_slice()
-    tail_row, buffer = mass_row[tail_cells], np.empty(mesh.n_cells)
+    # the weight rows of the public reductions, each dotted with the block by
+    # itself (a block @ (N, 4) matrix product sums in another order than the
+    # public reductions' dots, so it can differ from them in the last bit)
+    weights = [moment_row(mesh, m) for m in orders]
+    mass_row, tail_cells = weights[1], mesh.tail_slice()
+    tail_row = mass_row[tail_cells]
 
-    times, tail = np.empty(n_steps + 1), np.empty(n_steps + 1)
-    sums = np.empty((len(orders), n_steps + 1))
+    # t_k = t_{k-1} + dt in order, as a stepwise sum gives them
+    times = np.cumsum(np.append(initial.time, np.full(n_steps, dt)))
+    tail, sums = np.zeros(n_steps + 1), np.empty((len(orders), n_steps + 1))
     dist = np.empty(n_steps + 1) if reference is not None else None
+    # preallocated: a fresh block-sized temporary per record costs page faults
+    block = np.empty((min(RECORD_BLOCK, n_steps + 1), mesh.n_cells))
+    buffer = np.empty_like(block)
 
-    def record(k: int, values: np.ndarray, nonneg: bool):
-        for i, row in enumerate(rows):
-            sums[i, k] = row @ values
-        absolute = values if nonneg else np.abs(values)
-        total = sums[1, k] if nonneg else mass_row @ absolute
-        tail[k] = 0.0 if total == 0.0 else tail_row @ absolute[tail_cells] / total
+    def record(start: int, signed: bool):
+        """Fill every series from step `start` on with the states in block."""
+        rows = block[:n_steps + 1 - start]
+        stop, work = start + len(rows), buffer[:len(rows)]
+        for i, row in enumerate(weights):
+            np.vecdot(rows, row, out=sums[i, start:stop])
+        # a block of nonnegative states is its own absolute value
+        absolute = np.abs(rows, out=work) if signed else rows
+        total = np.vecdot(absolute, mass_row) if signed else sums[1, start:stop]
+        np.divide(np.vecdot(absolute[:, tail_cells], tail_row), total,
+                  out=tail[start:stop], where=total != 0.0)
         if dist is not None:
-            dist[k] = mass_row @ np.abs(np.subtract(values, reference.values, out=buffer),
-                                        out=buffer)
+            np.abs(np.subtract(rows, reference.values, out=work), out=work)
+            np.vecdot(work, mass_row, out=dist[start:stop])
 
-    values, times[0] = initial.values, initial.time
+    values = initial.values
+    block[0] = values
     low = min_seen = float(values.min(initial=0.0))
-    record(0, values, low >= 0.0)
-    stored = []
+    start, signed, stored = 0, low < 0.0, []
     for k in range(1, n_steps + 1):
-        values, times[k] = stepper.step(values), times[k - 1] + dt
+        values = stepper.step(values)
         if low < 0.0:   # signed data; step() keeps nonnegative data nonnegative
             min_seen = min(min_seen, low := float(values.min(initial=0.0)))
-        record(k, values, low >= 0.0)
+        if k - start == len(block):     # full: record it and start the next at k
+            record(start, signed)
+            # states turn nonnegative at most once, so a block's first state
+            # says whether any of them is signed
+            start, signed = k, low < 0.0
+        block[k - start] = values
         if k % config.output_every == 0 or k == n_steps:
             stored.append(State(values, mesh, float(times[k])))
+    record(start, signed)
 
     mass0 = moment_of(mesh, initial.values, 1.0)
     drift = np.zeros(n_steps + 1) if mass0 == 0.0 else (sums[1] - mass0) / mass0

@@ -68,11 +68,14 @@ class Tridiagonal:
         return out
 
     def factor(self, beta: float) -> Callable[[np.ndarray], np.ndarray]:
-        """Factor I + beta*this once; return solve(rhs).
+        """Factor diag(w)(I + beta*this) once; return solve(rhs) -> x.
 
-        The symmetric diag(w)(I + beta this) is factored as L D L^T (LAPACK
-        pttrf, no pivoting) and solve returns pttrs(w * rhs).  Raises
-        NumericsError unless that matrix is positive definite.
+        x solves diag(w)(I + beta this) x = rhs, so the caller weights its
+        right-hand side by w: solve(w * b) solves (I + beta this) x = b.  The
+        symmetric matrix is factored as L D L^T (LAPACK pttrf, no pivoting),
+        and solve runs pttrs in place: it overwrites rhs, so pass a
+        temporary.  Raises NumericsError unless the matrix is positive
+        definite.
         """
         w = self.symmetriser
         d, e, info = lapack.dpttrf(w * (1.0 + beta * self.diag),
@@ -82,7 +85,7 @@ class Tridiagonal:
                 f"tridiagonal system is not positive definite (LAPACK info {info})")
 
         def solve(rhs: np.ndarray) -> np.ndarray:
-            return lapack.dpttrs(d, e, w * rhs, overwrite_b=True)[0]
+            return lapack.dpttrs(d, e, rhs, overwrite_b=True)[0]
 
         return solve
 
@@ -291,7 +294,8 @@ def factor(bundle: OperatorBundle, alpha: float, beta: float,
             return lapack.dgetrs(lu, piv, rhs)[0]
         z = np.zeros(3 * n)
         z[::3] = rhs
-        return lapack.dgbtrs(lu, 3, 3, z, piv)[0][::3]
+        # a contiguous copy: the strided view would keep all 3N unknowns alive
+        return lapack.dgbtrs(lu, 3, 3, z, piv)[0][::3].copy()
 
     return solve
 

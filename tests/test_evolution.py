@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from fragdiff import (ConfigError, ConstantRate, IntegratorConfig, NumericsError
                       apply_generator, assemble_bundle, build_mesh, default_dt,
                       evolve, heat_apply_exact, mass, moment, solve_steady,
                       tail_mass_fraction, x1_distance)
+from fragdiff.evolution import RECORD_BLOCK, SCHEMES
 from fragdiff.mesh import moment_of, x1_distance_of
 from conftest import exact_equilibrium
 
@@ -210,14 +212,19 @@ def _assert_records_equal_public_reductions(trajectory, initial, reference=None)
                                                             reference.values)
 
 
-def test_recording_nonnegative_geometric():
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_recording_nonnegative_geometric(scheme):
+    # every scheme's states are contiguous arrays: a strided state's dot
+    # differs in the last bits from the recorded dot of its block copy
     mesh = build_mesh(30.0, 300, "geometric", ratio=1.01)
     bundle = assemble_bundle(mesh, PowerRate(1.0), PowerLawKernel(-0.5))
     initial = State(values=np.exp(-(mesh.centers - 3.0) ** 2), mesh=mesh)
     reference = solve_steady(bundle).state
-    config = IntegratorConfig(dt=1e-3, t_end=0.05, moment_order=2.5)
+    dt = 1e-4 if scheme == "crank_nicolson_imex" else 1e-3   # inside its budget
+    config = IntegratorConfig(scheme=scheme, dt=dt, t_end=50 * dt, moment_order=2.5)
     trajectory = evolve(bundle, initial, config, reference=reference)
     assert trajectory.tail_fraction[-1] > 0.0
+    assert all(state.values.flags.c_contiguous for state in trajectory.states)
     _assert_records_equal_public_reductions(trajectory, initial, reference)
 
 
@@ -245,6 +252,48 @@ def test_recording_of_a_clamped_run(fine_geometric):
     assert trajectory.states[0].values.min() >= 0.0
     assert trajectory.min_value == 0.0
     _assert_records_equal_public_reductions(trajectory, initial)
+
+
+@pytest.mark.parametrize("n_steps", [1, RECORD_BLOCK - 1, RECORD_BLOCK, RECORD_BLOCK + 1,
+                                     2 * RECORD_BLOCK + 3])
+@pytest.mark.parametrize("data", ["signed", "turning", "zero", "clamped"])
+def test_recording_across_block_boundaries(mitosis_512, fine_geometric, data, n_steps):
+    # evolve records RECORD_BLOCK states at a time; a run may end anywhere in
+    # a block, and a block may hold signed and nonnegative states together
+    bundle, scheme, dt = mitosis_512, "imex_euler", 1e-3
+    xc = bundle.mesh.centers
+    if data == "signed":
+        values = np.sin(xc) * np.exp(-0.3 * xc)
+    elif data == "turning":     # the dip fills in at step 23, inside the second block
+        values = np.exp(-0.3 * xc) - 0.0035 * np.exp(-((xc - 20.0) / 0.3) ** 2)
+    elif data == "zero":
+        values = np.zeros(xc.size)
+    else:   # crank_nicolson_imex beyond its budget clamps step 1, block row 1
+        bundle, scheme, dt = fine_geometric, "crank_nicolson_imex", 1e-5
+        values = 1e-12 * np.exp(-fine_geometric.mesh.centers)
+    initial = State(values=values, mesh=bundle.mesh)
+    reference = None if data == "clamped" else solve_steady(bundle).state
+    config = IntegratorConfig(scheme=scheme, dt=dt, t_end=n_steps * dt, moment_order=0.5)
+    budget = pytest.warns(UserWarning, match="positivity budget") if data == "clamped" \
+        else contextlib.nullcontext()
+    with budget:
+        trajectory = evolve(bundle, initial, config, reference=reference)
+    assert trajectory.times.size == n_steps + 1
+    _assert_records_equal_public_reductions(trajectory, initial, reference)
+    minima = [state.values.min() for state in trajectory.states]
+    if data == "signed":
+        assert max(minima) < 0.0
+    elif data == "turning":
+        turned = next((k for k, low in enumerate(minima, 1) if low >= 0.0), None)
+        assert turned == (23 if n_steps >= 23 else None)
+        assert trajectory.min_value < 0.0
+    elif data == "zero":
+        assert np.all(trajectory.tail_fraction == 0.0)
+        assert np.all(trajectory.moments[1.0] == 0.0)
+    else:
+        assert min(minima) >= 0.0 and trajectory.min_value == 0.0
+        with pytest.warns(UserWarning, match="positivity budget"):
+            assert Stepper(bundle, dt, scheme).advance(values).min() < 0.0
 
 
 @pytest.mark.parametrize("signed", [False, True])
