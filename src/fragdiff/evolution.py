@@ -5,16 +5,15 @@ explicitly and always at the same time level: evaluating them together keeps
 the discrete mass identity exact per step, so the only mass flux is through
 the truncation boundary.  Schemes:
 
-    imex_euler          backward-Euler diffusion + forward reaction (default)
-    crank_nicolson_imex trapezoidal diffusion + Heun reaction, second order
-    fully_implicit      backward Euler on the whole generator (operators.factor)
+    imex_euler      backward-Euler diffusion + forward reaction (default)
+    fully_implicit  backward Euler on the whole generator (operators.factor)
 
-A `Stepper` factors its system once: the diffusion system of the IMEX
-schemes through `Tridiagonal.factor`, the whole generator through `factor`.
-The IMEX solves take right-hand sides weighted by the symmetriser w, and
-imex_euler scales its reaction rows by it once, so that one reaction apply
-forms its right-hand side dt w B v + w (1 - dt d) v.  `Stepper.step` maps
-cell values to cell values.  `evolve` steps raw arrays and copies each state
+A `Stepper` factors its system once: imex_euler's diffusion system through
+`Tridiagonal.factor`, fully_implicit's whole generator through `factor`.
+The imex_euler solve takes right-hand sides weighted by the symmetriser w,
+and its reaction rows are scaled by w once, so that one reaction apply forms
+its right-hand side dt w B v + w (1 - dt d) v.  `Stepper.step` maps cell
+values to cell values.  `evolve` steps raw arrays and copies each state
 into a block of RECORD_BLOCK rows; once the block is full, it takes every
 recorded reduction of those steps as one `np.vecdot` of the block with a
 weight row built once per run.  Each row's dot is the same BLAS dot as the
@@ -22,8 +21,8 @@ public reduction's, so the records equal the reductions bit for bit.
 
 imex_euler preserves nonnegativity when dt * max(death) <= 1 (the right-hand
 side stays nonnegative and the diffusion system is an M-matrix); the default
-step size keeps a factor-2 margin.  `positivity_budget` states each scheme's
-bound; fully_implicit is unconditionally positivity preserving.
+step size keeps a factor-2 margin.  `positivity_budget` states that bound;
+fully_implicit is unconditionally positivity preserving.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .mesh import (State, moment_of, moment_row, require_moment_order,  # noqa: 
                    require_same_mesh, tail_mass_fraction, x1_distance_of)
 from .operators import OperatorBundle, factor
 
-SCHEMES = ("imex_euler", "crank_nicolson_imex", "fully_implicit")
+SCHEMES = ("imex_euler", "fully_implicit")
 POSITIVITY_FLOOR = -1e-13
 RECORD_BLOCK = 16   # states per recording block: 256 KB at N = 2048
 
@@ -65,12 +64,9 @@ def step_count(t_end: float, dt: float, name: str = "t_end") -> int:
 
 def positivity_budget(bundle: OperatorBundle, dt: float, scheme: str) -> float:
     """The scheme's positivity budget; warns the caller's caller when it exceeds 1.
-    imex_euler keeps nonnegative data nonnegative while dt * max(death) <= 1.  The
-    crank_nicolson_imex half step I + dt/2 (L - death) needs dt/2 * max(death -
-    diag L) <= 1, its predictor the imex_euler bound; not proven sufficient."""
-    cfl = dt * float(np.max(bundle.death))
-    half_step = 0.5 * dt * float(np.max(bundle.death - bundle.diffusion.diag))
-    budget = {"imex_euler": cfl, "crank_nicolson_imex": max(cfl, half_step)}.get(scheme, 0.0)
+    imex_euler keeps nonnegative data nonnegative while dt * max(death) <= 1;
+    fully_implicit does for every dt, so its budget is 0."""
+    budget = dt * float(np.max(bundle.death)) if scheme == "imex_euler" else 0.0
     if budget > 1.0:
         warnings.warn(f"positivity budget {budget:.2f} > 1: the explicit part of the "
                       "step may lose positivity", stacklevel=3)
@@ -92,8 +88,10 @@ class IntegratorConfig:
         _check_step(self.scheme, self.dt)
         # t_end is positive and finite, and an explicit dt divides it
         step_count(self.t_end, self.t_end if self.dt is None else self.dt)
-        if not self.output_every >= 1:
-            raise ConfigError(f"output_every must be >= 1, got {self.output_every}")
+        # evolve stores every output_every-th state: a whole number of steps
+        if not (1 <= self.output_every < math.inf and self.output_every % 1 == 0):
+            raise ConfigError(f"output_every must be a whole number >= 1, "
+                              f"got {self.output_every}")
         require_moment_order(self.moment_order)
 
 
@@ -120,32 +118,22 @@ class Stepper:
         if scheme == "fully_implicit":
             self._solve = factor(bundle, 1.0, -dt)
             return
-        # the diffusion half of the IMEX schemes; its solve takes right-hand
-        # sides weighted by the symmetriser w and overwrites them
-        theta = 1.0 if scheme == "imex_euler" else 0.5
-        self._solve = bundle.diffusion.factor(-theta * dt)
-        if scheme == "imex_euler":
-            # its right-hand side w (v + dt (B v - d v)) is the reaction of a
-            # scaled copy: gain rows times dt w, "death" -w (1 - dt d)
-            w, birth = bundle.diffusion.symmetriser, bundle.birth
-            scale = dt * w
-            gain = {"receiver": scale * birth.receiver} if birth.separable \
-                else {"dense_applied": scale[:, None] * birth.dense_applied}
-            keep = w * (1.0 - dt * bundle.death)
-            self._explicit = replace(bundle, birth=replace(birth, death=-keep, **gain))
+        # imex_euler's diffusion solve takes right-hand sides weighted by the
+        # symmetriser w and overwrites them
+        self._solve = bundle.diffusion.factor(-dt)
+        # its right-hand side w (v + dt (B v - d v)) is the reaction of a
+        # scaled copy: gain rows times dt w, "death" -w (1 - dt d)
+        w, birth = bundle.diffusion.symmetriser, bundle.birth
+        scale = dt * w
+        gain = {"receiver": scale * birth.receiver} if birth.separable \
+            else {"dense_applied": scale[:, None] * birth.dense_applied}
+        keep = w * (1.0 - dt * bundle.death)
+        self._explicit = replace(bundle, birth=replace(birth, death=-keep, **gain))
 
     def advance(self, values: np.ndarray) -> np.ndarray:
-        dt, bundle, solve = self.dt, self.bundle, self._solve
         if self.scheme == "imex_euler":
-            return solve(self._explicit.apply_reaction(values))
-        if self.scheme == "crank_nicolson_imex":
-            w = bundle.diffusion.symmetriser
-            half_l = values + 0.5 * dt * bundle.diffusion.apply(values)
-            reaction = bundle.apply_reaction(values)
-            predictor = solve(w * (half_l + dt * reaction))
-            reaction = 0.5 * (reaction + bundle.apply_reaction(predictor))
-            return solve(w * (half_l + dt * reaction))
-        return solve(values)
+            return self._solve(self._explicit.apply_reaction(values))
+        return self._solve(values)
 
     def step(self, values: np.ndarray) -> np.ndarray:
         """Advance values by dt; nonnegative input stays nonnegative or raises."""

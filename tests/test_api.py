@@ -36,6 +36,10 @@ NAN_CASES = {
                            "diffusion_rate"),
     "IntegratorConfig": (lambda: fragdiff.IntegratorConfig(moment_order=NAN), "moment_order"),
     "output_every": (lambda: fragdiff.IntegratorConfig(output_every=NAN), "output_every"),
+    "output_every-inf": (lambda: fragdiff.IntegratorConfig(output_every=np.inf),
+                         "output_every must be a whole number >= 1, got inf"),
+    "output_every-fraction": (lambda: fragdiff.IntegratorConfig(output_every=2.5),
+                              "output_every must be a whole number >= 1, got 2.5"),
     "moment_of": (lambda: moment_of(MESH, np.ones(MESH.n_cells), NAN), "moment_order"),
     "norm_row": (lambda: norm_row(MESH, NAN), "m >= 1"),
     "check_gain_smallness": (lambda: check_gain_smallness(

@@ -292,6 +292,7 @@ BAD_VALUES = [
     ("coefficients", "", "kernel_nu = 0.5"),
     ("coefficients", "", "diffusion = 0"),
     ("time", "", "scheme = rk4"),
+    ("time", "", "scheme = crank_nicolson_imex"),
     ("time", "", "dt = -0.1"),
     ("time", "", "t_end = 0"),
     ("time", "", "output_every = 0"),

@@ -74,8 +74,7 @@ def test_zero_initial_stays_zero(mitosis_512):
     assert trajectory.max_drift == 0.0
 
 
-@pytest.mark.parametrize("scheme", ["imex_euler", "crank_nicolson_imex",
-                                    "fully_implicit"])
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_mass_conserved_all_schemes(mitosis_512, scheme):
     state = unit_mass_exponential(mitosis_512.mesh)
     config = IntegratorConfig(scheme=scheme, dt=2e-3, t_end=0.5)
@@ -101,7 +100,7 @@ def test_positivity_random_data(linear_rate_512, rng):
         assert trajectory.min_value >= -1e-13
 
 
-@pytest.mark.parametrize("scheme", ["imex_euler", "crank_nicolson_imex"])
+@pytest.mark.parametrize("scheme", ["imex_euler"])
 def test_imex_schemes_factor_diffusion_once(mitosis_512, monkeypatch, scheme):
     from fragdiff import operators
     calls, lapack = [], operators.lapack
@@ -123,23 +122,6 @@ def test_imex_schemes_factor_diffusion_once(mitosis_512, monkeypatch, scheme):
     assert calls == [mitosis_512.mesh.n_cells]
 
 
-def test_crank_nicolson_applies_the_reaction_twice_per_step(mitosis_512, monkeypatch):
-    # once at the old values, once at the predictor
-    from fragdiff.operators import OperatorBundle
-    calls, apply_reaction = [], OperatorBundle.apply_reaction
-
-    def counted(self, v):
-        calls.append(v.size)
-        return apply_reaction(self, v)
-
-    monkeypatch.setattr(OperatorBundle, "apply_reaction", counted)
-    stepper = Stepper(mitosis_512, 1e-3, "crank_nicolson_imex")
-    values = unit_mass_exponential(mitosis_512.mesh).values
-    for _ in range(3):
-        values = stepper.step(values)
-    assert len(calls) == 2 * 3
-
-
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("signed", [False, True])
 def test_step_rejects_non_finite_values(mitosis_512, bad, signed):
@@ -159,42 +141,47 @@ def test_positivity_warning_on_large_dt(linear_rate_512):
 
 @pytest.fixture(scope="module")
 def fine_geometric():
-    """Linear rate on a mesh whose smallest cell (2.47e-3) makes the explicit
-    diffusion half step of crank_nicolson_imex stiff at dt = 1e-5."""
+    """Linear rate on a geometric mesh (smallest cell 2.47e-3).  imex_euler at
+    dt = 0.1 is beyond its positivity budget (3.94) here, as on the uniform
+    mesh: unit-scale data dip below the floor, data of scale 1e-12 are clamped."""
     mesh = build_mesh(40.0, 512, "geometric", ratio=1.01)
     return assemble_bundle(mesh, PowerRate(1.0), PowerLawKernel(0.0))
 
 
-def test_crank_nicolson_warns_beyond_its_positivity_budget(fine_geometric):
-    with pytest.warns(UserWarning, match="positivity budget 2.46"):
-        stepper = Stepper(fine_geometric, 1e-5, "crank_nicolson_imex")
-    assert stepper.positivity_budget == pytest.approx(2.46, abs=0.005)
-    # the warning is earned: unit-scale data goes negative within 20 steps
-    values = np.exp(-fine_geometric.mesh.centers)
-    with pytest.raises(PropertyViolation, match="positivity violated"):
-        for _ in range(20):
-            values = stepper.step(values)
+def test_imex_euler_warns_beyond_its_positivity_budget(linear_rate_512):
+    with pytest.warns(UserWarning, match="positivity budget 3.99"):
+        stepper = Stepper(linear_rate_512, 0.1, "imex_euler")
+    assert stepper.positivity_budget == pytest.approx(3.99, abs=0.005)
+    # the warning is earned: unit-scale data dip to -2.0e-7 at step 1
+    values = np.exp(-linear_rate_512.mesh.centers)
+    with pytest.raises(PropertyViolation, match="positivity violated: minimum -2.0"):
+        stepper.step(values)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for scheme in ("imex_euler", "fully_implicit"):
-            assert Stepper(fine_geometric, 1e-5, scheme).positivity_budget < 1.0
+        assert Stepper(linear_rate_512, 0.1, "fully_implicit").positivity_budget == 0.0
+        assert Stepper(linear_rate_512, 0.02, "imex_euler").positivity_budget < 1.0
 
 
-@pytest.mark.parametrize("scheme, order", [("imex_euler", 0.9),
-                                           ("crank_nicolson_imex", 1.9),
-                                           ("fully_implicit", 0.9)])
+@pytest.mark.parametrize("scheme, order", [("imex_euler", 0.9), ("fully_implicit", 0.9)])
 def test_time_order(scheme, order):
     # against the exact semi-discrete flow exp(T G) of the linear-rate generator
     mesh = build_mesh(40.0, 256)
     bundle = assemble_bundle(mesh, PowerRate(1.0), PowerLawKernel(0.0))
     state = unit_mass_exponential(mesh)
     exact = expm(0.5 * bundle.dense()) @ state.values
-    errors = []
+    finals = []
     for dt in (5e-4, 2.5e-4, 1.25e-4, 6.25e-5):
         config = IntegratorConfig(scheme=scheme, dt=dt, t_end=0.5, output_every=10 ** 6)
-        errors.append(x1_distance_of(mesh, evolve(bundle, state, config).final.values, exact))
-    observed = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        finals.append(evolve(bundle, state, config).final.values)
+    errors = np.array([x1_distance_of(mesh, u, exact) for u in finals])
+    observed = np.log2(errors[:-1] / errors[1:])
     assert np.all(observed >= order), observed
+    # both schemes' errors expand in powers of dt, so the Richardson
+    # combination 2 u(dt/2) - u(dt) cancels the first-order term
+    extrapolated = np.array([x1_distance_of(mesh, 2.0 * fine - coarse, exact)
+                             for coarse, fine in zip(finals, finals[1:])])
+    richardson = np.log2(extrapolated[:-1] / extrapolated[1:])
+    assert np.all(richardson >= 1.9), richardson
 
 
 def _assert_records_equal_public_reductions(trajectory, initial, reference=None):
@@ -220,8 +207,7 @@ def test_recording_nonnegative_geometric(scheme):
     bundle = assemble_bundle(mesh, PowerRate(1.0), PowerLawKernel(-0.5))
     initial = State(values=np.exp(-(mesh.centers - 3.0) ** 2), mesh=mesh)
     reference = solve_steady(bundle).state
-    dt = 1e-4 if scheme == "crank_nicolson_imex" else 1e-3   # inside its budget
-    config = IntegratorConfig(scheme=scheme, dt=dt, t_end=50 * dt, moment_order=2.5)
+    config = IntegratorConfig(scheme=scheme, dt=1e-3, t_end=0.05, moment_order=2.5)
     trajectory = evolve(bundle, initial, config, reference=reference)
     assert trajectory.tail_fraction[-1] > 0.0
     assert all(state.values.flags.c_contiguous for state in trajectory.states)
@@ -240,14 +226,13 @@ def test_recording_signed_data(mitosis_512):
 
 
 def test_recording_of_a_clamped_run(fine_geometric):
-    # data small enough that the undershoot beyond the CN budget stays
-    # within the positivity floor, so step() clamps instead of raising
+    # data small enough that the undershoot beyond the imex_euler budget
+    # stays within the positivity floor, so step() clamps instead of raising
     mesh = fine_geometric.mesh
     initial = State(values=1e-12 * np.exp(-mesh.centers), mesh=mesh)
     with pytest.warns(UserWarning, match="positivity budget"):
-        stepper = Stepper(fine_geometric, 1e-5, "crank_nicolson_imex")
-        config = IntegratorConfig(scheme="crank_nicolson_imex", dt=1e-5, t_end=2e-4)
-        trajectory = evolve(fine_geometric, initial, config)
+        stepper = Stepper(fine_geometric, 0.1, "imex_euler")
+        trajectory = evolve(fine_geometric, initial, IntegratorConfig(dt=0.1, t_end=2.0))
     assert stepper.advance(initial.values).min() < 0.0       # clamped at step 1
     assert trajectory.states[0].values.min() >= 0.0
     assert trajectory.min_value == 0.0
@@ -257,10 +242,10 @@ def test_recording_of_a_clamped_run(fine_geometric):
 @pytest.mark.parametrize("n_steps", [1, RECORD_BLOCK - 1, RECORD_BLOCK, RECORD_BLOCK + 1,
                                      2 * RECORD_BLOCK + 3])
 @pytest.mark.parametrize("data", ["signed", "turning", "zero", "clamped"])
-def test_recording_across_block_boundaries(mitosis_512, fine_geometric, data, n_steps):
+def test_recording_across_block_boundaries(mitosis_512, linear_rate_512, data, n_steps):
     # evolve records RECORD_BLOCK states at a time; a run may end anywhere in
     # a block, and a block may hold signed and nonnegative states together
-    bundle, scheme, dt = mitosis_512, "imex_euler", 1e-3
+    bundle, dt = mitosis_512, 1e-3
     xc = bundle.mesh.centers
     if data == "signed":
         values = np.sin(xc) * np.exp(-0.3 * xc)
@@ -268,12 +253,12 @@ def test_recording_across_block_boundaries(mitosis_512, fine_geometric, data, n_
         values = np.exp(-0.3 * xc) - 0.0035 * np.exp(-((xc - 20.0) / 0.3) ** 2)
     elif data == "zero":
         values = np.zeros(xc.size)
-    else:   # crank_nicolson_imex beyond its budget clamps step 1, block row 1
-        bundle, scheme, dt = fine_geometric, "crank_nicolson_imex", 1e-5
-        values = 1e-12 * np.exp(-fine_geometric.mesh.centers)
+    else:   # imex_euler beyond its budget clamps step 1, block row 1
+        bundle, dt = linear_rate_512, 0.1
+        values = 1e-12 * np.exp(-xc)
     initial = State(values=values, mesh=bundle.mesh)
     reference = None if data == "clamped" else solve_steady(bundle).state
-    config = IntegratorConfig(scheme=scheme, dt=dt, t_end=n_steps * dt, moment_order=0.5)
+    config = IntegratorConfig(dt=dt, t_end=n_steps * dt, moment_order=0.5)
     budget = pytest.warns(UserWarning, match="positivity budget") if data == "clamped" \
         else contextlib.nullcontext()
     with budget:
@@ -293,7 +278,7 @@ def test_recording_across_block_boundaries(mitosis_512, fine_geometric, data, n_
     else:
         assert min(minima) >= 0.0 and trajectory.min_value == 0.0
         with pytest.warns(UserWarning, match="positivity budget"):
-            assert Stepper(bundle, dt, scheme).advance(values).min() < 0.0
+            assert Stepper(bundle, dt).advance(values).min() < 0.0
 
 
 @pytest.mark.parametrize("signed", [False, True])

@@ -47,6 +47,21 @@ def test_subdominant_modes_decay(linear_rate_512):
     assert np.all(values.real < 0)
 
 
+def test_linear_rate_spectrum_matches_airy_zeros_second_order():
+    # a = x, b = 2/y: the eigenfunctions are -(x + a_k) Ai(x + a_k) with
+    # eigenvalues a_k, the zeros of Ai; truncating at x = 20 moves them far
+    # less than the O(h^2) error
+    from scipy.special import ai_zeros
+    zeros = ai_zeros(4)[0]
+    errors = []
+    for n in (512, 1024, 2048, 4096):
+        bundle = assemble_bundle(build_mesh(20.0, n), PowerRate(1.0), PowerLawKernel(0.0))
+        errors.append(np.abs(subdominant_spectrum(bundle, k=4) - zeros))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all(ratios >= 3.9), ratios        # O(h^2) for k = 1..4
+    assert errors[-1][0] <= 2e-6, errors[-1]
+
+
 def test_subdominant_spectrum_gives_k_values_or_refuses():
     # Arnoldi finds at most n_cells - 2 eigenvalues, and the dominant one is dropped
     bundle = assemble_bundle(build_mesh(20.0, 12), PowerRate(1.0), PowerLawKernel(0.0))
