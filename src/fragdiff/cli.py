@@ -4,7 +4,9 @@ Outputs per run directory:
     moments.csv       t,M0,M1,M2,Mm,dist_ref_X1,mass_drift_rel,tail_mass_frac
     profile.csv       x,phi  (final state, or the steady profile)
     diagnostics.jsonl one JSON record per check or spectral result
-    run_meta.json     config echo, mesh statistics, package versions
+    run_meta.json     config echo, mesh statistics, package versions; the
+                      echo is the one record of rate, kernel, diffusion and
+                      boundary condition
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure,
 4 property violation.
@@ -79,10 +81,6 @@ def _run_meta(cfg: RunConfig, bundle) -> dict:
         "mesh": {"cells": mesh.n_cells, "x_max": mesh.x_max,
                  "h_min": float(mesh.widths.min()), "h_max": float(mesh.widths.max()),
                  "grading": cfg["domain"]["grading"]},
-        "coefficients": {"rate": bundle.rate.describe(),
-                         "kernel": bundle.kernel.describe(),
-                         "right_bc": bundle.right_bc,
-                         "diffusion": bundle.diffusion_rate},
         "versions": {"fragdiff": __version__, "numpy": np.__version__},
     }
 

@@ -105,9 +105,6 @@ class RateModel:
         grid = np.geomspace(max(x_lo, 1e-12), x_hi, 1024)
         return float(np.min(self(grid)))
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantRate(RateModel):
@@ -123,9 +120,6 @@ class ConstantRate(RateModel):
 
     def cell_integrals(self, edges, q):
         return self.value * power_integral(edges[:-1], edges[1:], q)
-
-    def describe(self):
-        return {"kind": "constant", "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -144,9 +138,6 @@ class PowerRate(RateModel):
 
     def cell_integrals(self, edges, q):
         return power_integral(edges[:-1], edges[1:], q + self.gamma)
-
-    def describe(self):
-        return {"kind": "power", "gamma": self.gamma}
 
 
 @dataclass(frozen=True)
@@ -168,9 +159,6 @@ class ShiftedPowerRate(RateModel):
     def cell_integrals(self, edges, q):
         lo, hi = edges[:-1], edges[1:]
         return self.offset * power_integral(lo, hi, q) + power_integral(lo, hi, q + self.gamma)
-
-    def describe(self):
-        return {"kind": "shifted_power", "offset": self.offset, "gamma": self.gamma}
 
 
 @dataclass(frozen=True)
@@ -195,9 +183,6 @@ class TableRate(RateModel):
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float), self.x_nodes, self.a_nodes)
 
-    def describe(self):
-        return {"kind": "table", "nodes": len(self.x_nodes)}
-
 
 @dataclass(frozen=True)
 class RegularizedRate(RateModel):
@@ -217,9 +202,6 @@ class RegularizedRate(RateModel):
     def cell_integrals(self, edges, q):
         return self.base.cell_integrals(edges, q) + \
             power_integral(edges[:-1], edges[1:], q + 1.0) / self.n
-
-    def describe(self):
-        return {"kind": "regularized", "n": self.n, "base": self.base.describe()}
 
 
 def rate_diverges(rate: RateModel, x_max_probe: float) -> bool:
@@ -248,9 +230,6 @@ class DaughterKernel:
 
     def fragment_moment(self, m: float, y):
         """integral_0^y x^m b(x, y) dx."""
-        raise NotImplementedError
-
-    def describe(self) -> dict:
         raise NotImplementedError
 
 
@@ -285,9 +264,6 @@ class PowerLawKernel(DaughterKernel):
             raise ConfigError("fragment moment diverges for m <= -nu - 1")
         return (self.nu + 2.0) / (self.nu + m + 1.0) * y ** m
 
-    def describe(self):
-        return {"kind": "powerlaw", "nu": self.nu}
-
 
 @dataclass(frozen=True)
 class CustomKernel(DaughterKernel):
@@ -321,9 +297,6 @@ class CustomKernel(DaughterKernel):
 
     def fragment_moment(self, m, y):
         return _gauss_on(0.0, y, lambda x: x ** m * self.density(x, y))
-
-    def describe(self):
-        return {"kind": "custom", "name": self.name}
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError, PropertyViolation
 # re-exported: evolve() records what tail_mass_fraction and x1_distance_of give
-from .mesh import (State, moment_of, moment_row, require_moment_order,  # noqa: F401
-                   require_same_mesh, tail_mass_fraction, x1_distance_of)
+from .mesh import (State, moment_of, moment_row, require_count,  # noqa: F401
+                   require_moment_order, require_same_mesh, tail_mass_fraction,
+                   x1_distance_of)
 from .operators import OperatorBundle, factor
 
 SCHEMES = ("imex_euler", "fully_implicit")
@@ -89,9 +90,8 @@ class IntegratorConfig:
         # t_end is positive and finite, and an explicit dt divides it
         step_count(self.t_end, self.t_end if self.dt is None else self.dt)
         # evolve stores every output_every-th state: a whole number of steps
-        if not (1 <= self.output_every < math.inf and self.output_every % 1 == 0):
-            raise ConfigError(f"output_every must be a whole number >= 1, "
-                              f"got {self.output_every}")
+        object.__setattr__(self, "output_every",
+                           require_count("output_every", self.output_every, 1))
         require_moment_order(self.moment_order)
 
 
@@ -110,8 +110,6 @@ class Stepper:
 
     def __init__(self, bundle: OperatorBundle, dt: float, scheme: str = "imex_euler"):
         _check_step(scheme, dt)
-        self.bundle = bundle
-        self.dt = dt
         self.scheme = scheme
         self.reaction_cfl = dt * float(np.max(bundle.death))
         self.positivity_budget = positivity_budget(bundle, dt, scheme)
@@ -123,12 +121,9 @@ class Stepper:
         self._solve = bundle.diffusion.factor(-dt)
         # its right-hand side w (v + dt (B v - d v)) is the reaction of a
         # scaled copy: gain rows times dt w, "death" -w (1 - dt d)
-        w, birth = bundle.diffusion.symmetriser, bundle.birth
-        scale = dt * w
-        gain = {"receiver": scale * birth.receiver} if birth.separable \
-            else {"dense_applied": scale[:, None] * birth.dense_applied}
+        w = bundle.diffusion.symmetriser
         keep = w * (1.0 - dt * bundle.death)
-        self._explicit = replace(bundle, birth=replace(birth, death=-keep, **gain))
+        self._explicit = replace(bundle, birth=bundle.birth.scaled(dt * w, -keep))
 
     def advance(self, values: np.ndarray) -> np.ndarray:
         if self.scheme == "imex_euler":

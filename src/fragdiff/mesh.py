@@ -25,6 +25,13 @@ GRADINGS = ("uniform", "geometric")
 TAIL_FRACTION = 0.05    # the outer share of [0, x_max] whose mass tail_mass_fraction reports
 
 
+def require_count(name: str, value, low: int) -> int:
+    """`value` as an int; ConfigError unless it is a whole number >= low (not NaN or inf)."""
+    if not (low <= value < np.inf and value % 1 == 0):
+        raise ConfigError(f"{name} must be a whole number >= {low}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Immutable 1-D cell mesh: finite edges from 0, with centers and widths."""
@@ -71,8 +78,7 @@ def build_mesh(x_max: float, n_cells: int, grading: str = "uniform",
     """
     if not 0 < x_max < np.inf:
         raise ConfigError(f"x_max must be positive and finite, got {x_max}")
-    if n_cells < 8:
-        raise ConfigError(f"n_cells must be >= 8, got {n_cells}")
+    n_cells = require_count("n_cells", n_cells, 8)
     if grading not in GRADINGS:
         raise ConfigError(f"grading must be one of {GRADINGS}, got {grading!r}")
     if grading == "uniform":

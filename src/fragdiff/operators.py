@@ -32,7 +32,7 @@ diffusion part alone go through `Tridiagonal.factor`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -139,6 +139,12 @@ class BirthOperator:
         out[-1] = 0.0
         return out
 
+    def scaled(self, rows: np.ndarray, death: np.ndarray) -> "BirthOperator":
+        """This gain term with row i times rows[i], carrying `death` as its death."""
+        if self.separable:
+            return replace(self, death=death, receiver=rows * self.receiver)
+        return replace(self, death=death, dense_applied=rows[:, None] * self.dense_applied)
+
     def applied_matrix(self) -> np.ndarray:
         """Dense matrix K with (B phi) = K phi (strictly upper triangle)."""
         if self.separable:
@@ -212,7 +218,6 @@ class OperatorBundle:
     birth: BirthOperator
     rate: RateModel
     kernel: DaughterKernel
-    right_bc: str = "noflux"
     diffusion_rate: float = 1.0
 
     @property
@@ -305,8 +310,7 @@ def assemble_bundle(mesh: Mesh, rate: RateModel, kernel: DaughterKernel,
     diffusion = assemble_diffusion(mesh, right_bc, diffusion_rate)
     birth = assemble_birth(mesh, rate, kernel)
     return OperatorBundle(mesh=mesh, diffusion=diffusion, birth=birth,
-                          rate=rate, kernel=kernel, right_bc=right_bc,
-                          diffusion_rate=diffusion_rate)
+                          rate=rate, kernel=kernel, diffusion_rate=diffusion_rate)
 
 
 def apply_generator(bundle: OperatorBundle, state: State) -> State:

@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, NumericsError, PropertyViolation
 from .evolution import Trajectory
-from .mesh import State, moment_of, weighted_norm_of
+from .mesh import State, moment_of, require_count, weighted_norm_of
 from .operators import OperatorBundle, factor
 
 _SHIFT = 1.0     # real shift sigma > 0 of the Arnoldi spectral transformation
@@ -28,16 +28,16 @@ _FIT_WINDOW = (1e-10, 1e-2)     # decay fit: distances within these multiples of
 _MIN_FIT_POINTS = 6
 
 
-def require_modes(k: int, n_cells: int) -> None:
+def require_modes(k: int, n_cells: int) -> int:
     """The number k of subdominant eigenvalues to report, 1 <= k <= n_cells - 3.
 
     Arnoldi finds at most n_cells - 2 eigenvalues and the dominant one is
     dropped, so a larger k could not be honoured.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    k = require_count("k", k, 1)
     if k > n_cells - 3:
         raise ConfigError(f"k must be <= n_cells - 3 = {n_cells - 3}, got {k}")
+    return k
 
 
 def _start_vector(mesh) -> np.ndarray:
@@ -79,7 +79,7 @@ def subdominant_spectrum(bundle: OperatorBundle, k: int = 8) -> np.ndarray:
     semigroup is a contraction.  The dominant mode, the one of largest real
     part, is real and simple by positivity and is dropped.
     """
-    require_modes(k, bundle.mesh.n_cells)
+    k = require_modes(k, bundle.mesh.n_cells)
     if float(bundle.rate.tail_infimum(1e-6, bundle.mesh.x_max)) <= 0.0:
         raise PropertyViolation(
             "spectral run requires a strictly positive rate on the grid")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .coefficients import PowerRate, RegularizedRate, rate_tail_positive
 from .errors import ConfigError, NumericsError, PropertyViolation
-from .mesh import State, moment_of, weighted_norm_of, x1_distance_of
+from .mesh import State, moment_of, require_count, weighted_norm_of, x1_distance_of
 from .operators import OperatorBundle, assemble_birth, factor
 
 NEGATIVITY_TOL = 1e-10
@@ -95,9 +95,8 @@ class RegularizedResult:
 
 def regularization_indices(n_sequence) -> tuple:
     """The lift indices n as a tuple: at least two, positive and increasing."""
-    seq = tuple(int(n) for n in n_sequence)
-    if len(seq) < 2 or any(n < 1 for n in seq) or any(
-            b <= a for a, b in zip(seq, seq[1:])):
+    seq = tuple(require_count("n_sequence", n, 1) for n in n_sequence)
+    if len(seq) < 2 or any(b <= a for a, b in zip(seq, seq[1:])):
         raise ConfigError(
             f"n_sequence must be two or more increasing positive integers, got {seq}")
     return seq

@@ -21,6 +21,7 @@ def test_no_public_name_is_listed_twice():
 
 NAN = float("nan")
 MESH = fragdiff.build_mesh(10.0, 16)
+BUNDLE = fragdiff.assemble_bundle(MESH, fragdiff.ConstantRate(1.0), fragdiff.PowerLawKernel(0.0))
 # a rule written `if x <= bound: raise` lets NaN through; each of these must raise
 NAN_CASES = {
     "PowerRate": (lambda: fragdiff.PowerRate(NAN), "gamma"),
@@ -40,6 +41,18 @@ NAN_CASES = {
                          "output_every must be a whole number >= 1, got inf"),
     "output_every-fraction": (lambda: fragdiff.IntegratorConfig(output_every=2.5),
                               "output_every must be a whole number >= 1, got 2.5"),
+    "build_mesh-cells-nan": (lambda: fragdiff.build_mesh(40.0, NAN),
+                             "n_cells must be a whole number >= 8, got nan"),
+    "build_mesh-cells-inf": (lambda: fragdiff.build_mesh(40.0, np.inf),
+                             "n_cells must be a whole number >= 8, got inf"),
+    "spectral_gap-k-nan": (lambda: fragdiff.spectral_gap(BUNDLE, k=NAN),
+                           "k must be a whole number >= 1, got nan"),
+    "subdominant_spectrum-k-fraction": (lambda: fragdiff.subdominant_spectrum(BUNDLE, k=2.5),
+                                        "k must be a whole number >= 1, got 2.5"),
+    "n_sequence-nan": (lambda: fragdiff.solve_steady_regularized(BUNDLE, (4, NAN)),
+                       "n_sequence must be a whole number >= 1, got nan"),
+    "n_sequence-fraction": (lambda: fragdiff.solve_steady_regularized(BUNDLE, (4, 16.7, 64)),
+                            "n_sequence must be a whole number >= 1, got 16.7"),
     "moment_of": (lambda: moment_of(MESH, np.ones(MESH.n_cells), NAN), "moment_order"),
     "norm_row": (lambda: norm_row(MESH, NAN), "m >= 1"),
     "check_gain_smallness": (lambda: check_gain_smallness(
@@ -84,3 +97,10 @@ NAN_CASES = {
 def test_rules_reject_nan_and_infinite_input(call, match):
     with pytest.raises(fragdiff.ConfigError, match=match):
         call()
+
+
+def test_whole_number_counts_pass_on_as_ints():
+    # 64.0 cells or k = 2.0 is a whole number: honoured, and passed on as an int
+    assert fragdiff.build_mesh(40.0, 64.0).n_cells == 64
+    assert fragdiff.subdominant_spectrum(BUNDLE, k=2.0).size == 2
+    assert type(fragdiff.IntegratorConfig(output_every=4.0).output_every) is int

@@ -172,6 +172,22 @@ def test_run_evolve_outputs(tmp_path):
     assert any(rec["kind"] == "evolve" for rec in diag)
 
 
+def test_run_meta_records_each_input_once(tmp_path):
+    # the config echo is the one record of the model's inputs
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(small_config("evolve", "[domain]\nright_bc = dirichlet\n"
+                                     "[coefficients]\nkernel_nu = -0.5\ndiffusion = 0.5\n"))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "--out", str(out), "--quiet"]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert sorted(meta) == ["config", "mesh", "versions"]
+    echo = meta["config"]
+    assert echo["coefficients"]["rate"] == "constant"
+    assert echo["coefficients"]["kernel_nu"] == -0.5
+    assert echo["coefficients"]["diffusion"] == 0.5
+    assert echo["domain"]["right_bc"] == "dirichlet"
+
+
 def test_run_deterministic_outputs(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(small_config("evolve"))

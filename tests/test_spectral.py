@@ -62,6 +62,27 @@ def test_linear_rate_spectrum_matches_airy_zeros_second_order():
     assert errors[-1][0] <= 2e-6, errors[-1]
 
 
+def test_mitosis_spectrum_matches_mellin_closed_form():
+    """a = 1, b = 2/y: the subdominant eigenvalues are -k/(k+1), k = 1, 2, ...
+
+    Empirical oracle: the closed form comes from the Mellin moments of the
+    model and is not proven here.  The error is set by the truncation x_max,
+    not by the cells (N = 2048 and 4096 agree at x_max = 40):
+
+        x_max   k = 1    k = 2    k = 3    k = 4
+        40      1.7e-8   9.3e-5   6.3e-3   4.4e-2
+        80      2.9e-11  4.6e-11  3.9e-8   2.7e-5   (N = 4096)
+
+    so the presets' domain pollutes every mode past the gap.
+    """
+    bundle = assemble_bundle(build_mesh(80.0, 4096), ConstantRate(1.0), PowerLawKernel(0.0))
+    values = subdominant_spectrum(bundle, k=4)
+    k = np.arange(1, 5)
+    assert np.all(values.imag == 0.0), values
+    errors = np.abs(values.real + k / (k + 1.0))
+    assert np.all(errors <= [1e-10, 1e-10, 1e-7, 1e-4]), errors
+
+
 def test_subdominant_spectrum_gives_k_values_or_refuses():
     # Arnoldi finds at most n_cells - 2 eigenvalues, and the dominant one is dropped
     bundle = assemble_bundle(build_mesh(20.0, 12), PowerRate(1.0), PowerLawKernel(0.0))
