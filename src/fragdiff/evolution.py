@@ -226,7 +226,7 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
             start, signed = k, low < 0.0
         block[k - start] = values
         if k % config.output_every == 0 or k == n_steps:
-            stored.append(State(values, mesh, float(times[k])))
+            stored.append(State._checked(values, mesh, float(times[k])))
     record(start, signed)
 
     mass0 = moment_of(mesh, initial.values, 1.0)

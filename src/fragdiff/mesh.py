@@ -109,6 +109,14 @@ class State:
             raise ConfigError("state contains non-finite values")
         self.values = values
 
+    @classmethod
+    def _checked(cls, values: np.ndarray, mesh: Mesh, time: float) -> "State":
+        """A State without __post_init__'s second scan, for values that meet its
+        rules already (float64, shape (n_cells,), finite): `Stepper.step` checked them."""
+        state = object.__new__(cls)
+        state.values, state.mesh, state.time = values, mesh, time
+        return state
+
     def copy_with(self, values: np.ndarray, time: float | None = None) -> "State":
         return State(values=values, mesh=self.mesh,
                      time=self.time if time is None else time)

@@ -24,10 +24,11 @@ and the conservation defect of the full generator is the boundary flux
 alone.  Cell averages of a are mass-weighted for the same reason.
 
 Every linear solve with the generator goes through `factor`.  For power-law
-kernels the birth term is semiseparable, so carrying its suffix sums (and
-prefix masses, for the mass pin) as unknowns makes the system banded and
-each solve O(N).  Custom kernels keep the one dense path.  Solves with the
-diffusion part alone go through `Tridiagonal.factor`.
+kernels the birth term is semiseparable, so carrying its suffix sums as
+unknowns makes the system banded and each solve O(N): 2N unknowns with
+half-bandwidth 2, or, with the mass pin, 3N unknowns (its prefix masses
+too) with half-bandwidth 3.  Custom kernels keep the one dense path.
+Solves with the diffusion part alone go through `Tridiagonal.factor`.
 """
 
 from __future__ import annotations
@@ -241,14 +242,16 @@ class OperatorBundle:
 
 def _interleaved_bands(bundle: OperatorBundle, alpha: float, beta: float,
                        pin: bool) -> np.ndarray:
-    """LAPACK band storage (kl = ku = 3) of alpha*I + beta*G, unknowns (phi_i, s_i, p_i)."""
+    """LAPACK band storage (kl = ku = k) of alpha*I + beta*G, unknowns
+    (phi_i, s_i) with k = 2, or with `pin` (phi_i, s_i, p_i) with k = 3."""
     tri, birth, mesh = bundle.diffusion, bundle.birth, bundle.mesh
-    phi = 3 * np.arange(mesh.n_cells)
-    s, p = phi + 1, phi + 2
-    ab = np.zeros((10, 3 * mesh.n_cells))
+    k = 3 if pin else 2
+    phi = k * np.arange(mesh.n_cells)
+    s, p = phi + 1, phi + 2     # p exists only when pinned
+    ab = np.zeros((3 * k + 1, k * mesh.n_cells))
 
     def put(rows, cols, values):
-        ab[6 + rows - cols, cols] = values
+        ab[2 * k + rows - cols, cols] = values
 
     # phi rows: alpha phi_i + beta (L phi - d phi + receiver_i s_i) = rhs_i
     diag = alpha + beta * (tri.diag - birth.death)
@@ -267,9 +270,10 @@ def _interleaved_bands(bundle: OperatorBundle, alpha: float, beta: float,
     put(s, s, unit)
     put(s[:-1], s[1:], -unit)
     put(s[:-1], phi[1:], -unit * birth.donor[1:])
-    put(p, p, unit)
-    put(p[1:], p[:-1], -unit)
-    put(p, phi, -unit * mesh.centers * mesh.widths)
+    if pin:
+        put(p, p, unit)
+        put(p[1:], p[:-1], -unit)
+        put(p, phi, -unit * mesh.centers * mesh.widths)
     return ab
 
 
@@ -279,13 +283,15 @@ def factor(bundle: OperatorBundle, alpha: float, beta: float,
 
     With `pin`, the last equation is the mass row instead,
     sum_i xbar_i dx_i phi_i = rhs[-1].  Power-law kernels: banded LU of the
-    system in (phi_i, s_i, p_i).  Custom kernels: LU of the same matrix built
-    from `OperatorBundle.dense()`.
+    system in (phi_i, s_i), half-bandwidth 2, or with `pin` in
+    (phi_i, s_i, p_i), half-bandwidth 3.  Custom kernels: LU of the same
+    matrix built from `OperatorBundle.dense()`.
     """
     n = bundle.mesh.n_cells
     banded = bundle.birth.separable
+    k = 3 if pin else 2
     if banded:
-        lu, piv, info = lapack.dgbtrf(_interleaved_bands(bundle, alpha, beta, pin), 3, 3)
+        lu, piv, info = lapack.dgbtrf(_interleaved_bands(bundle, alpha, beta, pin), k, k)
     else:
         matrix = alpha * np.eye(n) + beta * bundle.dense()
         if pin:
@@ -297,10 +303,11 @@ def factor(bundle: OperatorBundle, alpha: float, beta: float,
     def solve(rhs: np.ndarray) -> np.ndarray:
         if not banded:
             return lapack.dgetrs(lu, piv, rhs)[0]
-        z = np.zeros(3 * n)
-        z[::3] = rhs
-        # a contiguous copy: the strided view would keep all 3N unknowns alive
-        return lapack.dgbtrs(lu, 3, 3, z, piv)[0][::3].copy()
+        z = np.zeros(k * n)
+        z[::k] = rhs
+        # z is this solve's own: LAPACK may overwrite it.  The result is a
+        # contiguous copy: the strided view would keep all k N unknowns alive
+        return lapack.dgbtrs(lu, k, k, z, piv, overwrite_b=True)[0][::k].copy()
 
     return solve
 

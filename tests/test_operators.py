@@ -3,10 +3,11 @@ import pytest
 from scipy.integrate import quad
 
 from fragdiff import (ConfigError, ConstantRate, CustomKernel, PowerLawKernel,
-                      PowerRate, State, apply_generator, assemble_birth,
-                      assemble_bundle, assemble_diffusion, build_mesh,
-                      heat_apply_exact, heat_growth_bound, image_kernel_value,
-                      kernel_value, weighted_norm)
+                      PowerRate, ShiftedPowerRate, State, apply_generator,
+                      assemble_birth, assemble_bundle, assemble_diffusion,
+                      build_mesh, heat_apply_exact, heat_growth_bound,
+                      image_kernel_value, kernel_value, weighted_norm)
+from fragdiff import operators
 from conftest import exact_equilibrium
 
 
@@ -195,6 +196,52 @@ def test_dense_matches_apply(linear_rate_512, rng):
     dense = linear_rate_512.dense()
     phi = rng.random(linear_rate_512.mesh.n_cells)
     assert np.allclose(dense @ phi, linear_rate_512.apply(phi), rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("rate", [ConstantRate(1.0), PowerRate(1.0), ShiftedPowerRate(1.0, 2.0)],
+                         ids=["constant", "power", "shifted-power"])
+@pytest.mark.parametrize("kernel", [PowerLawKernel(0.0), PowerLawKernel(-1.5),
+                                    CustomKernel(lambda x, y: 4.0 * x ** 2 / y ** 3,
+                                                 name="near-parent")],
+                         ids=["binary", "nu=-1.5", "custom"])
+@pytest.mark.parametrize("right_bc", ["noflux", "dirichlet"])
+@pytest.mark.parametrize("grading", ["uniform", "geometric"])
+def test_generator_is_metzler(grading, right_bc, kernel, rate):
+    # the exact discrete form of a positive semigroup: exp(tG) >= 0 for all
+    # t >= 0 exactly when no off-diagonal entry of G is negative
+    mesh = build_mesh(20.0, 24, grading, ratio=1.1 if grading == "geometric" else None)
+    dense = assemble_bundle(mesh, rate, kernel, right_bc=right_bc).dense()
+    assert np.min(dense[~np.eye(mesh.n_cells, dtype=bool)]) >= 0.0
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, -1e-3), (1.0, -0.1), (-1.0, 1.0)])
+@pytest.mark.parametrize("right_bc", ["noflux", "dirichlet"])
+@pytest.mark.parametrize("grading", ["uniform", "geometric"])
+@pytest.mark.parametrize("rate", [ConstantRate(1.0), PowerRate(1.0)],
+                         ids=["mitosis", "linear-rate"])
+def test_unpinned_factor_matches_dense_solve(rate, grading, right_bc, alpha, beta, rng):
+    mesh = build_mesh(40.0, 512, grading, ratio=1.01 if grading == "geometric" else None)
+    bundle = assemble_bundle(mesh, rate, PowerLawKernel(0.0), right_bc=right_bc)
+    rhs = rng.random(mesh.n_cells)
+    expected = np.linalg.solve(alpha * np.eye(mesh.n_cells) + beta * bundle.dense(), rhs)
+    got = operators.factor(bundle, alpha, beta)(rhs)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("pin, width", [(False, 2), (True, 3)])
+def test_banded_layout_carries_mass_unknowns_only_when_pinned(monkeypatch, mitosis_512,
+                                                              pin, width):
+    # unpinned: (phi_i, s_i), kl = ku = 2; pinned: (phi_i, s_i, p_i), kl = ku = 3
+    calls = []
+    dgbtrf = operators.lapack.dgbtrf
+
+    def spy(ab, kl, ku, *args, **kwargs):
+        calls.append((ab.shape[1], kl, ku))
+        return dgbtrf(ab, kl, ku, *args, **kwargs)
+
+    monkeypatch.setattr(operators.lapack, "dgbtrf", spy)
+    operators.factor(mitosis_512, 1.0, -1e-3, pin=pin)
+    assert calls == [(width * mitosis_512.mesh.n_cells, width, width)]
 
 
 # ---------------------------------------------------------------------------
