@@ -9,16 +9,25 @@ the margin.
 The quadrature is QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al.,
 1983), vectorised in numpy: (0, inf) is split at the given points, the last
 piece [lo, inf) is mapped by x = lo + t/(1-t), and each round evaluates the
-integrand once on all new intervals, then bisects those whose error estimate
-exceeds their equal share of the tolerance max(1e-12, 1e-11 |I|).  The
-estimate is QUADPACK's scaled one; an integral that does not meet the
-tolerance within 400 intervals, or is not finite, raises NumericsError.
+integrand once on all new intervals, then splits those whose error estimate
+exceeds their equal share of the tolerance max(1e-12, 1e-11 |I|).  A piece
+is bisected, except one whose left end is x = 0: that piece is cut at 1/64
+of its width, so an endpoint singularity such as x^m, m > -1, is closed in
+geometrically (a fixed number of rounds per decade) rather than one halving
+per round.  The estimate is QUADPACK's scaled one; an integral that does not
+meet the tolerance within 400 intervals, or is not finite, raises
+NumericsError.
+
+Profile-only quantities (the root scan, the X_1 norms of f and f'' and the
+pointwise sups) are cached on the `SampleProfile`, so each is computed once
+however many weights or orders check that profile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -49,6 +58,7 @@ _GK_NODES = np.concatenate([-np.array(_XK), _XK[-2::-1]])
 _GK_RULES = np.zeros((21, 2))                   # columns: Kronrod weights, Gauss weights
 _GK_RULES[:, 0] = _WK + _WK[-2::-1]
 _GK_RULES[1::2, 1] = _WG + _WG[::-1]
+_ZERO_SPLIT = 1.0 / 64.0          # where a piece starting at x = 0 is cut, per its width
 _SCAN_END = 60.0                  # profiles are scanned pointwise on (0, _SCAN_END]
 _KATO_TOL = 1e-8                  # Kato margin allowed below zero, relative to its scale
 _EPS_VALUES = (0.5, 1.0, 2.0)     # epsilons of the interpolation inequality's epsilon form
@@ -56,13 +66,49 @@ _EPS_VALUES = (0.5, 1.0, 2.0)     # epsilons of the interpolation inequality's e
 
 @dataclass(frozen=True)
 class SampleProfile:
-    """Smooth test function on (0, inf) with analytic derivatives and known sign changes."""
+    """Smooth test function on (0, inf) with analytic derivatives and known sign changes.
+
+    The properties below depend on the profile alone; each is computed on
+    first use and then kept.
+    """
 
     name: str
     f: Callable
     d1: Callable
     d2: Callable
     sign_roots: tuple = ()
+
+    @cached_property
+    def roots_ok(self) -> bool:
+        """The sign roots account for every resolvable sign change.
+
+        Flips where the profile is already at roundoff scale do not move the
+        integrals and are ignored.
+        """
+        grid = np.linspace(1e-9, _SCAN_END, 20001)
+        vals = self.f(grid)
+        peak = float(np.max(np.abs(vals)))
+        sign_flips = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+        roots = np.asarray(self.sign_roots)
+        for idx in sign_flips:
+            if max(abs(vals[idx]), abs(vals[idx + 1])) <= 1e-12 * peak:
+                continue
+            if roots.size == 0 or np.min(np.abs(roots - grid[idx])) > 2 * (grid[1] - grid[0]):
+                return False
+        return True
+
+    @cached_property
+    def interpolation_terms(self) -> tuple[float, float, float, float]:
+        """|f|_{X_1}, |f''|_{X_1}, sup |f| and sup x |f'(x)|, scanned on (0, _SCAN_END]."""
+        norm_1 = _integrate(lambda x: x * np.abs(self.f(x)), self.sign_roots)
+        # a generic split, not at the roots of f'': the adaptive rule resolves the
+        # kinks of |f''| (x_exp's f'' vanishes at x = 2, inside [0.5, 2.5625])
+        d2_roots = tuple(np.linspace(0.5, 50, 25))
+        d2_norm = _integrate(lambda x: x * np.abs(self.d2(x)), d2_roots)
+        grid = np.linspace(1e-6, _SCAN_END, 60001)
+        sup_f = float(np.max(np.abs(self.f(grid))))
+        sup_slope = float(np.max(grid * np.abs(self.d1(grid))))
+        return norm_1, d2_norm, sup_f, sup_slope
 
 
 def default_catalog() -> list[SampleProfile]:
@@ -122,29 +168,11 @@ def _integrate(fn, points) -> float:
             raise NumericsError(f"quadrature failed: error {total_error:.3g} above "
                                 f"{tol:.3g} within {limit} intervals")
         right = np.arange(n, n + split.size)
-        mid = 0.5 * (a[split] + b[split])
+        at_zero = (a[split] == 0.0) & (mapped[split] * cuts[-1] == 0.0)   # x(a) = 0
+        mid = np.where(at_zero, _ZERO_SPLIT * b[split], 0.5 * (a[split] + b[split]))
         a[right], b[right], mapped[right] = mid, b[split], mapped[split]
         b[split] = mid
         new, n = np.concatenate([split, right]), n + split.size
-
-
-def _verify_roots(profile: SampleProfile) -> bool:
-    """The catalog's sign roots must account for every resolvable sign change.
-
-    Flips where the profile is already at roundoff scale do not move the
-    integrals and are ignored.
-    """
-    grid = np.linspace(1e-9, _SCAN_END, 20001)
-    vals = profile.f(grid)
-    peak = float(np.max(np.abs(vals)))
-    sign_flips = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    roots = np.asarray(profile.sign_roots)
-    for idx in sign_flips:
-        if max(abs(vals[idx]), abs(vals[idx + 1])) <= 1e-12 * peak:
-            continue
-        if roots.size == 0 or np.min(np.abs(roots - grid[idx])) > 2 * (grid[1] - grid[0]):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +224,7 @@ def check_kato(profile: SampleProfile, weight: WeightSpec = WeightSpec()) -> Kat
     Both sides are integrated adaptively, split at the profile's sign roots;
     equality holds (to quadrature accuracy) when f never changes sign.
     """
-    if not _verify_roots(profile):
+    if not profile.roots_ok:
         return KatoReport(profile.name, weight.label, np.nan, np.nan, np.nan,
                           np.nan, "inconclusive")
     pts = profile.sign_roots + (weight.cap,)
@@ -239,20 +267,12 @@ def check_interpolation(profile: SampleProfile, m: float) -> InterpolationReport
     """
     if not (-1.0 < m < 1.0):
         raise ConfigError(f"interpolation order must lie in (-1, 1), got {m}")
-    pts = profile.sign_roots
-    norm_m = _integrate(lambda x: x ** m * np.abs(profile.f(x)), pts)
-    norm_1 = _integrate(lambda x: x * np.abs(profile.f(x)), pts)
-    # a generic split, not at the roots of f'': the adaptive rule resolves the
-    # kinks of |f''| (x_exp's f'' vanishes at x = 2, inside [0.5, 2.5625])
-    d2_roots = tuple(np.linspace(0.5, 50, 25))
-    d2_norm = _integrate(lambda x: x * np.abs(profile.d2(x)), d2_roots)
+    norm_m = _integrate(lambda x: x ** m * np.abs(profile.f(x)), profile.sign_roots)
+    norm_1, d2_norm, sup_f, sup_slope = profile.interpolation_terms
     coeff = 2.0 * (1.0 - m) ** ((m - 1.0) / 2.0) / (m + 1.0)
     rhs = coeff * d2_norm ** ((1.0 - m) / 2.0) * norm_1 ** ((m + 1.0) / 2.0)
     eps_margins = [eps ** (m + 1.0) / (m + 1.0) * d2_norm + eps ** (m - 1.0) * norm_1 - norm_m
                    for eps in _EPS_VALUES]
-    grid = np.linspace(1e-6, _SCAN_END, 60001)
-    sup_f = float(np.max(np.abs(profile.f(grid))))
-    sup_slope = float(np.max(grid * np.abs(profile.d1(grid))))
     ok = (norm_m <= rhs * (1 + 1e-10)
           and all(v >= -1e-10 * max(1.0, norm_m) for v in eps_margins)
           and sup_f <= d2_norm * (1 + 1e-10)

@@ -27,6 +27,9 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConfigError, NotApplicableError, PropertyViolation
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(64)
+# the same rule on (0, 1): nodes u_k, and the weights w_k u_k / 2 of int_0^1 u g(u) du
+_UNIT_NODES = 0.5 * (_GAUSS_NODES + 1.0)
+_UNIT_MASS_WEIGHTS = 0.5 * _GAUSS_WEIGHTS * _UNIT_NODES
 # a(x) >= DIVERGENCE_LEVEL on the outer decade stands in for a(x) -> infinity;
 # the moment ceiling's x_star is where a first reaches it
 DIVERGENCE_LEVEL = 1.0
@@ -225,7 +228,7 @@ class DaughterKernel:
         raise NotImplementedError
 
     def fragment_mass_below(self, z, y):
-        """integral_0^z x b(x, y) dx for 0 <= z <= y."""
+        """integral_0^z x b(x, y) dx for z >= 0; the support ends at y, so z > y gives y."""
         raise NotImplementedError
 
     def fragment_moment(self, m: float, y):
@@ -254,9 +257,8 @@ class PowerLawKernel(DaughterKernel):
         return np.where(x < y, out, 0.0)
 
     def fragment_mass_below(self, z, y):
-        z = np.asarray(z, dtype=float)
         y = np.asarray(y, dtype=float)
-        return y ** (-self.nu - 1.0) * z ** (self.nu + 2.0)
+        return y ** (-self.nu - 1.0) * np.minimum(z, y) ** (self.nu + 2.0)
 
     def fragment_moment(self, m, y):
         y = np.asarray(y, dtype=float)
@@ -270,7 +272,10 @@ class CustomKernel(DaughterKernel):
     """Daughter distribution given as a callable; integrals by 64-node Gauss.
 
     `fn(x, y)` gets an array `x` of any shape and a float donor size `y`, and
-    returns b(x, y) elementwise; each integral is one vectorised call.
+    returns b(x, y) elementwise.  Each integral over [0, c], c = min(z, y)
+    (mass below z) or c = y (moments), is one product of `fn` at the scaled
+    nodes x = c u_k with fixed weights: the Gauss nodes u_k on (0, 1) lie
+    inside the support 0 < x < y, so no mask is applied.
 
     The mass condition is verified at construction on a log grid of donor
     sizes, to the quadrature's 1e-8, and the kernel is rejected (never
@@ -293,10 +298,12 @@ class CustomKernel(DaughterKernel):
         return np.where(x < np.asarray(y), out, 0.0)
 
     def fragment_mass_below(self, z, y):
-        return _gauss_on(0.0, z, lambda x: x * self.density(x, y))
+        c = np.minimum(z, y)
+        return c * c * (self.fn(c[..., None] * _UNIT_NODES, y) @ _UNIT_MASS_WEIGHTS)
 
     def fragment_moment(self, m, y):
-        return _gauss_on(0.0, y, lambda x: x ** m * self.density(x, y))
+        weights = 0.5 * _GAUSS_WEIGHTS * _UNIT_NODES ** m
+        return y ** (m + 1.0) * (self.fn(y * _UNIT_NODES, y) @ weights)
 
 
 @dataclass(frozen=True)

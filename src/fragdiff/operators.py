@@ -187,11 +187,12 @@ def _assemble_birth_custom(mesh: Mesh, rate: RateModel,
     applied = np.zeros((n, n))
     death = np.zeros(n)
     for j in range(n):
-        # fragment mass below edges 0..j and below the donor itself, per node:
-        # its differences are the mass sent to cells 0..j-1 and kept in cell j
-        below = np.array([kernel.fragment_mass_below(np.append(edges[:j + 1], y), y)
-                          for y in y_nodes[j]])
-        mass_to = (y_weights[j] * a_nodes[j]) @ np.diff(below, axis=1)
+        # fragment mass below edges 1..j+1 per node (0 below edge 0), where edge
+        # j+1 >= y counts as the donor itself: the differences are the mass sent
+        # to cells 0..j-1 and kept in cell j
+        upto = edges[1:j + 2]
+        below = np.array([kernel.fragment_mass_below(upto, y) for y in y_nodes[j]])
+        mass_to = (y_weights[j] * a_nodes[j]) @ np.diff(below, axis=1, prepend=0.0)
         raw_total = mass_to.sum()
         if raw_total <= 0.0:
             continue

@@ -50,6 +50,49 @@ def test_integrate_rule_is_exact_to_its_degree():
             assert abs(gauss @ checks._GK_NODES ** k - exact) <= 1e-14, k
 
 
+@pytest.mark.parametrize("m, rel_tol, max_rounds", [(-0.9, 5e-12, 100), (-0.5, 1e-13, 25)])
+def test_integrate_closes_in_on_an_endpoint_singularity(m, rel_tol, max_rounds):
+    # shifted_exp's interpolation integrand x^m |x - 1| e^-x: pieces at x = 0
+    # split geometrically, so x^m needs a few rounds per decade, not per halving
+    from scipy.special import gamma, gammainc, gammaincc
+
+    def lower(a):
+        return gammainc(a, 1.0) * gamma(a)
+
+    def upper(a):
+        return gammaincc(a, 1.0) * gamma(a)
+
+    rounds = []
+
+    def integrand(x):
+        rounds.append(x.shape)
+        return x ** m * np.abs(x - 1.0) * np.exp(-x)
+
+    value = checks._integrate(integrand, (1.0,))
+    exact = lower(m + 1.0) - lower(m + 2.0) + upper(m + 2.0) - upper(m + 1.0)
+    assert abs(value - exact) <= rel_tol * exact
+    assert len(rounds) <= max_rounds
+
+
+def test_profile_only_quantities_are_computed_once(monkeypatch):
+    calls = _record_integrals(monkeypatch)
+    base = catalog_by_name("shifted_exp")
+    scans = []
+
+    def f(x):
+        if np.ndim(x) == 1:                 # the pointwise scans, not a quadrature round
+            scans.append(x.size)
+        return base.f(x)
+
+    profile = SampleProfile("counted", f, base.d1, base.d2, sign_roots=base.sign_roots)
+    for weight in (WeightSpec(), WeightSpec(m=2.0)):
+        check_kato(profile, weight)
+    reports = [check_interpolation(profile, m) for m in (-0.5, 0.0, 0.5)]
+    assert scans == [20001, 60001]          # the root scan and sup |f|, once each
+    assert len(calls) == 2 * 2 + 2 + 3      # the two X_1 norms once, then one per order
+    assert len({(r.d2_norm, r.pointwise_sup, r.pointwise_slope) for r in reports}) == 1
+
+
 def test_integrate_rejects_a_divergent_integral():
     with pytest.raises(NumericsError, match="within 400 intervals"):
         checks._integrate(lambda x: 1.0 / x, ())
@@ -84,7 +127,9 @@ def test_cli_catalog_integrals_match_scipy_quad(monkeypatch):
     for profile in default_catalog()[:3]:
         for m in (-0.5, 0.0, 0.5, 0.9):
             check_interpolation(profile, m)
-    assert len(calls) == 5 * 3 * 2 + 3 * 4 * 3
+    # kato: two integrals per (profile, weight); interpolation: one per
+    # (profile, order) plus each profile's |f|_{X_1} and |f''|_{X_1} once
+    assert len(calls) == 5 * 3 * 2 + 3 * (4 + 2)
     for fn, points, value in calls:
         assert abs(value - _quad_oracle(fn, points)) <= 1e-11
 
@@ -98,7 +143,7 @@ def test_catalog_integrals_meet_the_tolerance_against_scipy_quad(monkeypatch):
             check_kato(profile, weight)
         for m in (-0.9, 0.99):
             check_interpolation(profile, m)
-    assert len(calls) == 5 * (2 * 2 + 2 * 3)
+    assert len(calls) == 5 * (2 * 2 + 2 + 2)
     for fn, points, value in calls:
         oracle = _quad_oracle(fn, points)
         assert abs(value - oracle) <= max(EPSABS, checks._QUAD_OPTS["epsrel"] * abs(oracle))
