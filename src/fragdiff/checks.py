@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .evolution import positivity_budget, step_count
+from .evolution import positivity_budget
 from .mesh import State, moment_row, norm_row, weighted_norm_of
 from .operators import OperatorBundle, image_kernel_value, kernel_value
 
@@ -62,6 +62,9 @@ _ZERO_SPLIT = 1.0 / 64.0          # where a piece starting at x = 0 is cut, per 
 _SCAN_END = 60.0                  # profiles are scanned pointwise on (0, _SCAN_END]
 _KATO_TOL = 1e-8                  # Kato margin allowed below zero, relative to its scale
 _EPS_VALUES = (0.5, 1.0, 2.0)     # epsilons of the interpolation inequality's epsilon form
+_MIN_INTERP_ORDER = -0.9          # below it the quadrature cannot close in on x^m
+_GAIN_T_MAX = 0.5                 # horizon of the integrated gain
+_GAIN_DT = 1e-3                   # step of the absorption flow it integrates along
 
 
 @dataclass(frozen=True)
@@ -262,11 +265,11 @@ def check_interpolation(profile: SampleProfile, m: float) -> InterpolationReport
 
         |f|_{X_m} <= 2 (1-m)^((m-1)/2) / (m+1) * |f''|_{X_1}^((1-m)/2) |f|_{X_1}^((m+1)/2)
 
-    for m in (-1, 1), together with its epsilon form and the pointwise bounds
-    sup |f| <= |f''|_{X_1} and x |f'(x)| <= |f''|_{X_1}.
+    for m in [_MIN_INTERP_ORDER, 1) (it holds on (-1, 1)), together with its epsilon
+    form and the pointwise bounds sup |f| <= |f''|_{X_1} and x |f'(x)| <= |f''|_{X_1}.
     """
-    if not (-1.0 < m < 1.0):
-        raise ConfigError(f"interpolation order must lie in (-1, 1), got {m}")
+    if not _MIN_INTERP_ORDER <= m < 1.0:
+        raise ConfigError(f"interpolation order must lie in [{_MIN_INTERP_ORDER}, 1), got {m}")
     norm_m = _integrate(lambda x: x ** m * np.abs(profile.f(x)), profile.sign_roots)
     norm_1, d2_norm, sup_f, sup_slope = profile.interpolation_terms
     coeff = 2.0 * (1.0 - m) ** ((m - 1.0) / 2.0) / (m + 1.0)
@@ -295,8 +298,8 @@ class GainSmallnessReport:
     status: str
 
 
-def check_gain_smallness(bundle: OperatorBundle, initial: State, m: float,
-                         t_max: float = 0.5, dt: float = 1e-3) -> GainSmallnessReport:
+def check_gain_smallness(bundle: OperatorBundle, initial: State,
+                         m: float) -> GainSmallnessReport:
     """Integrates |B F(s)| along the absorption-only flow F and reports where
 
         integral_0^t |B F(s)|_{X_{1,m}} ds  /  |f|_{X_{1,m}}
@@ -310,7 +313,7 @@ def check_gain_smallness(bundle: OperatorBundle, initial: State, m: float,
     denom = weighted_norm_of(mesh, initial.values, m)
     if denom == 0.0:
         raise ConfigError("gain-smallness check needs a nonzero profile")
-    n_steps = step_count(t_max, dt, "t_max")
+    dt, n_steps = _GAIN_DT, round(_GAIN_T_MAX / _GAIN_DT)
     # the absorption flow: implicit diffusion, explicit death (IMEX Euler without gain)
     positivity_budget(bundle, dt, "imex_euler")      # warns beyond 1
     solve = bundle.diffusion.factor(-dt)    # takes w-weighted right-hand sides

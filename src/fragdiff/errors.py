@@ -17,9 +17,5 @@ class PropertyViolation(RuntimeError):
     """A structural property the model guarantees was violated numerically."""
 
 
-class UnsupportedOrderError(ConfigError):
-    """Moment order outside the integrable range m > -1."""
-
-
 class NotApplicableError(RuntimeError):
     """Requested quantity is undefined for the given coefficients."""

@@ -52,14 +52,13 @@ def _check_step(scheme: str, dt: float | None) -> None:
         raise ConfigError(f"dt must be positive and finite, got {dt}")
 
 
-def step_count(t_end: float, dt: float, name: str = "t_end") -> int:
+def step_count(t_end: float, dt: float) -> int:
     """The number of steps of size dt that end at t_end > 0; dt must divide t_end."""
     if not 0 < t_end < math.inf:
-        raise ConfigError(f"{name} must be positive and finite, got {t_end}")
+        raise ConfigError(f"t_end must be positive and finite, got {t_end}")
     n_steps = round(t_end / dt) if dt > 0 else 0     # a dt <= 0 divides nothing
-    # written so that a NaN (dt = inf gives 0 * inf) fails the rule
-    if not abs(n_steps * dt - t_end) <= 1e-9 * t_end:
-        raise ConfigError(f"{name} = {t_end} is not a multiple of dt = {dt}")
+    if not abs(n_steps * dt - t_end) <= 1e-9 * t_end:     # so does dt = inf (0 * inf)
+        raise ConfigError(f"t_end = {t_end} is not a multiple of dt = {dt}")
     return n_steps
 
 

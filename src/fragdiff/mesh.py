@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedOrderError
+from .errors import ConfigError
 
 GRADINGS = ("uniform", "geometric")
 TAIL_FRACTION = 0.05    # the outer share of [0, x_max] whose mass tail_mass_fraction reports
@@ -124,7 +124,7 @@ class State:
 
 def require_moment_order(m: float) -> None:
     if not -1.0 < m < np.inf:
-        raise UnsupportedOrderError(f"moment_order must be finite and exceed -1, got {m}")
+        raise ConfigError(f"moment_order must be finite and exceed -1, got {m}")
 
 
 def moment_row(mesh: Mesh, m: float) -> np.ndarray:
@@ -150,7 +150,7 @@ def mass(state: State) -> float:
 def norm_row(mesh: Mesh, m: float) -> np.ndarray:
     """Weights (xbar_i + xbar_i^m) dx_i of the X_1 + X_m norm; needs m >= 1."""
     if not m >= 1.0:
-        raise UnsupportedOrderError(f"weighted norm needs m >= 1, got {m}")
+        raise ConfigError(f"weighted norm needs m >= 1, got {m}")
     return (mesh.centers + mesh.centers ** m) * mesh.widths
 
 

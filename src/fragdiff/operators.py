@@ -135,7 +135,7 @@ class BirthOperator:
             return self.dense_applied @ v
         out = np.multiply(self.donor, v, out=np.empty(self.donor.shape))
         suffix = out[::-1]
-        np.cumsum(suffix, out=suffix)
+        np.add.accumulate(suffix, out=suffix)
         np.multiply(self.receiver[:-1], out[1:], out=out[:-1])
         out[-1] = 0.0
         return out
@@ -249,7 +249,7 @@ def _interleaved_bands(bundle: OperatorBundle, alpha: float, beta: float,
     k = 3 if pin else 2
     phi = k * np.arange(mesh.n_cells)
     s, p = phi + 1, phi + 2     # p exists only when pinned
-    ab = np.zeros((3 * k + 1, k * mesh.n_cells))
+    ab = np.zeros((3 * k + 1, k * mesh.n_cells), order="F")     # dgbtrf factors it in place
 
     def put(rows, cols, values):
         ab[2 * k + rows - cols, cols] = values
@@ -292,7 +292,8 @@ def factor(bundle: OperatorBundle, alpha: float, beta: float,
     banded = bundle.birth.separable
     k = 3 if pin else 2
     if banded:
-        lu, piv, info = lapack.dgbtrf(_interleaved_bands(bundle, alpha, beta, pin), k, k)
+        lu, piv, info = lapack.dgbtrf(_interleaved_bands(bundle, alpha, beta, pin), k, k,
+                                      overwrite_ab=True)
     else:
         matrix = alpha * np.eye(n) + beta * bundle.dense()
         if pin:

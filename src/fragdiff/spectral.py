@@ -22,7 +22,7 @@ from .mesh import State, moment_of, require_count, weighted_norm_of
 from .operators import OperatorBundle, factor
 
 _SHIFT = 1.0     # real shift sigma > 0 of the Arnoldi spectral transformation
-_EIGEN_TOL = 1e-10   # inverse iteration settles once lambda moves by this times max |G_ii|
+_EIGEN_TOL = 1e-12   # inverse iteration settles once its unit vector moves by this
 _MAX_ITERATIONS = 60
 _FIT_WINDOW = (1e-10, 1e-2)     # decay fit: distances within these multiples of the first
 _MIN_FIT_POINTS = 6
@@ -49,22 +49,23 @@ def _start_vector(mesh) -> np.ndarray:
 def dominant_eigenpair(bundle: OperatorBundle) -> tuple[float, State]:
     """Eigenvalue of smallest magnitude and its eigenvector, mass-normalized.
 
-    Inverse iteration with zero shift through `operators.factor`: the
-    generator is numerically singular along the steady direction, which is
-    exactly what makes the iteration converge in a couple of steps.
+    Inverse iteration with zero shift through `operators.factor`, which
+    converges at |lambda0 / lambda1| per step; it stops once the unit vector
+    moves by at most _EIGEN_TOL.
     """
     solve = factor(bundle, 0.0, 1.0)
-    scale = float(np.max(np.abs(bundle.diffusion.diag - bundle.death)))
-    v, lam = _start_vector(bundle.mesh), 0.0
-    for iteration in range(_MAX_ITERATIONS):
+    v = _start_vector(bundle.mesh)
+    for _ in range(_MAX_ITERATIONS):
         w = solve(v)
-        v = w / np.linalg.norm(w)
-        lam, previous = float(v @ bundle.apply(v)), lam
-        if iteration > 0 and abs(lam - previous) <= _EIGEN_TOL * scale:
+        # scaled to v's orientation: with lambda0 ~ 0 the sign of G^-1 v is arbitrary
+        w /= np.copysign(np.linalg.norm(w), w @ v)
+        v, step = w, np.linalg.norm(w - v)
+        if step <= _EIGEN_TOL:
             break
     else:
         raise NumericsError(
             f"inverse iteration did not settle in {_MAX_ITERATIONS} iterations")
+    lam = float(v @ bundle.apply(v))
     mass_v = moment_of(bundle.mesh, v, 1.0)
     if abs(mass_v) > 1e-300:        # also makes the mass positive
         v = v / mass_v

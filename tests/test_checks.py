@@ -221,6 +221,15 @@ def test_interpolation_rejects_outside_range():
         check_interpolation(catalog_by_name("x_exp"), 1.0)
 
 
+def test_interpolation_refuses_orders_below_its_quadrature_reach():
+    # x^m |f| does not close within the quadrature's 400 intervals on
+    # shifted_exp and two_roots from m = -0.93 down
+    with pytest.raises(ConfigError, match=r"must lie in \[-0.9, 1\), got -0.95"):
+        check_interpolation(catalog_by_name("x_exp"), -0.95)
+    for profile in default_catalog():
+        assert check_interpolation(profile, -0.9).status == "pass", profile.name
+
+
 # ---------------------------------------------------------------------------
 # kernel inequality sampling
 # ---------------------------------------------------------------------------
@@ -241,7 +250,7 @@ def test_gain_smallness_linear_rate():
     bundle = assemble_bundle(mesh, PowerRate(1.0), PowerLawKernel(0.0))
     xc = mesh.centers
     f = State(values=xc * np.exp(-xc), mesh=mesh)
-    report = check_gain_smallness(bundle, f, m=2.0, t_max=0.5, dt=1e-3)
+    report = check_gain_smallness(bundle, f, m=2.0)
     assert report.status == "pass"
     # the integrated ratio stays below 1 up to t = 0.1
     idx = int(round(0.1 / 1e-3))
@@ -256,35 +265,14 @@ def test_gain_smallness_time_grid_ends_at_t_max():
     report = check_gain_smallness(bundle, f, m=2.0)
     assert report.t_grid.size == 501
     assert report.t_grid[-1] == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ConfigError, match="t_max = 0.5 is not a multiple of dt = 0.3"):
-        check_gain_smallness(bundle, f, m=2.0, t_max=0.5, dt=0.3)
-
-
-@pytest.mark.parametrize("t_max", [-0.5, 0.0, np.inf])
-def test_gain_smallness_needs_positive_t_max(t_max):
-    mesh = build_mesh(40.0, 64)
-    bundle = assemble_bundle(mesh, ConstantRate(1.0), PowerLawKernel(0.0))
-    f = State(values=mesh.centers * np.exp(-mesh.centers), mesh=mesh)
-    with pytest.raises(ConfigError, match=f"t_max must be positive and finite, got {t_max}"):
-        check_gain_smallness(bundle, f, m=2.0, t_max=t_max, dt=0.1)
-
-
-def test_gain_smallness_rejects_infinite_dt():
-    mesh = build_mesh(40.0, 64)
-    bundle = assemble_bundle(mesh, ConstantRate(1.0), PowerLawKernel(0.0))
-    f = State(values=mesh.centers * np.exp(-mesh.centers), mesh=mesh)
-    with pytest.raises(ConfigError, match="t_max = 0.5 is not a multiple of dt = inf"):
-        check_gain_smallness(bundle, f, 2.0, dt=np.inf)
 
 
 def test_gain_smallness_scale_invariant():
     mesh = build_mesh(40.0, 256)
     bundle = assemble_bundle(mesh, PowerRate(1.0), PowerLawKernel(0.0))
     xc = mesh.centers
-    a = check_gain_smallness(bundle, State(values=xc * np.exp(-xc), mesh=mesh),
-                             m=2.0, t_max=0.2, dt=1e-3)
-    b = check_gain_smallness(bundle, State(values=7.5 * xc * np.exp(-xc), mesh=mesh),
-                             m=2.0, t_max=0.2, dt=1e-3)
+    a = check_gain_smallness(bundle, State(values=xc * np.exp(-xc), mesh=mesh), m=2.0)
+    b = check_gain_smallness(bundle, State(values=7.5 * xc * np.exp(-xc), mesh=mesh), m=2.0)
     assert np.allclose(a.ratio, b.ratio, rtol=1e-12)
 
 
@@ -302,6 +290,6 @@ def test_gain_smallness_weak_contraction_is_slower():
     from fragdiff import delta_m
     assert delta_m(concentrated, 2.0) < 0.15        # weak contraction indeed
     stressed = assemble_bundle(mesh, ConstantRate(1.0), concentrated)
-    h = check_gain_smallness(healthy, f, m=2.0, t_max=0.4, dt=2e-3)
-    s = check_gain_smallness(stressed, f, m=2.0, t_max=0.4, dt=2e-3)
+    h = check_gain_smallness(healthy, f, m=2.0)
+    s = check_gain_smallness(stressed, f, m=2.0)
     assert s.ratio[-1] > h.ratio[-1]

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fragdiff import (ConfigError, State, UnsupportedOrderError, build_mesh,
-                      mass, moment, tail_mass_fraction, weighted_norm,
-                      x1_distance)
+from fragdiff import (ConfigError, State, build_mesh, mass, moment,
+                      tail_mass_fraction, weighted_norm, x1_distance)
 
 
 def test_uniform_widths():
@@ -59,7 +58,7 @@ def test_moments_match_gamma_integrals(mesh_2048):
 
 def test_moment_rejects_nonintegrable_order(mesh_512):
     state = State(values=np.ones(mesh_512.n_cells), mesh=mesh_512)
-    with pytest.raises(UnsupportedOrderError):
+    with pytest.raises(ConfigError, match="moment_order must be finite and exceed -1"):
         moment(state, -1.0)
 
 

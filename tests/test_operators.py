@@ -244,6 +244,23 @@ def test_banded_layout_carries_mass_unknowns_only_when_pinned(monkeypatch, mitos
     assert calls == [(width * mitosis_512.mesh.n_cells, width, width)]
 
 
+@pytest.mark.parametrize("pin", [False, True])
+def test_banded_factor_overwrites_its_band_array(monkeypatch, mitosis_512, pin):
+    # the band array is built Fortran-ordered for dgbtrf, which factors it in
+    # place instead of factoring a copy
+    shared = []
+    dgbtrf = operators.lapack.dgbtrf
+
+    def spy(ab, *args, **kwargs):
+        lu, piv, info = dgbtrf(ab, *args, **kwargs)
+        shared.append(np.shares_memory(lu, ab))
+        return lu, piv, info
+
+    monkeypatch.setattr(operators.lapack, "dgbtrf", spy)
+    operators.factor(mitosis_512, 1.0, -1e-3, pin=pin)
+    assert shared == [True]
+
+
 # ---------------------------------------------------------------------------
 # heat kernel and exact propagator
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from scipy.linalg import svdvals
+from scipy.linalg import eig, svdvals
 
 from fragdiff import (ConfigError, ConstantRate, IntegratorConfig, PowerLawKernel,
                       PowerRate, PropertyViolation, State, assemble_bundle,
                       build_mesh, decay_rate, dominant_eigenpair, evolve,
-                      mass, solve_steady, spectral_gap, subdominant_spectrum,
-                      x1_distance)
+                      mass, moment, solve_steady, spectral_gap,
+                      subdominant_spectrum, x1_distance)
 from conftest import exact_equilibrium
 
 
@@ -29,6 +29,21 @@ def test_dominant_eigenpair_without_fragmentation(mesh_512):
                              right_bc="dirichlet")
     lam, _ = dominant_eigenpair(bundle)
     assert lam < 0.0
+
+
+@pytest.mark.parametrize("value", [1e-14, 0.05])
+def test_dominant_eigenpair_matches_dense_eig(mesh_512, value):
+    # lambda0 is well away from 0 here, so inverse iteration converges only
+    # linearly, at |lambda0 / lambda1| per step
+    bundle = assemble_bundle(mesh_512, ConstantRate(value), PowerLawKernel(0.0),
+                             right_bc="dirichlet")
+    lam, psi = dominant_eigenpair(bundle)
+    values, vectors = eig(bundle.dense())
+    top = int(np.argmax(values.real))
+    expected = State(values=vectors[:, top].real, mesh=mesh_512)
+    expected = expected.copy_with(expected.values / moment(expected, 1.0))
+    assert abs(lam - values[top].real) <= 1e-8 * abs(values[top].real)
+    assert x1_distance(psi, expected) <= 1e-9
 
 
 def test_spectral_gap_positive_and_stable():
