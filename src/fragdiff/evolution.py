@@ -12,7 +12,10 @@ A `Stepper` factors its system once: imex_euler's diffusion system through
 `Tridiagonal.factor`, fully_implicit's whole generator through `factor`.
 The imex_euler solve takes right-hand sides weighted by the symmetriser w,
 and its reaction rows are scaled by w once, so that one reaction apply forms
-its right-hand side dt w B v + w (1 - dt d) v.  `Stepper.step` maps cell
+its right-hand side dt w B v + w (1 - dt d) v.  For a power-law kernel each
+step is that apply and one `pttrs`; a custom kernel's gain is a dense matrix,
+so its step is too: the stepper applies the step to the identity once and
+then takes one matrix-vector product per step.  `Stepper.step` maps cell
 values to cell values.  `evolve` steps raw arrays and copies each state
 into a block of RECORD_BLOCK rows; once the block is full, it takes every
 recorded reduction of those steps as one `np.vecdot` of the block with a
@@ -109,25 +112,29 @@ class Stepper:
 
     def __init__(self, bundle: OperatorBundle, dt: float, scheme: str = "imex_euler"):
         _check_step(scheme, dt)
-        self.scheme = scheme
         self.reaction_cfl = dt * float(np.max(bundle.death))
         self.positivity_budget = positivity_budget(bundle, dt, scheme)
         if scheme == "fully_implicit":
-            self._solve = factor(bundle, 1.0, -dt)
+            self._map = factor(bundle, 1.0, -dt)
             return
         # imex_euler's diffusion solve takes right-hand sides weighted by the
         # symmetriser w and overwrites them
-        self._solve = bundle.diffusion.factor(-dt)
+        solve = bundle.diffusion.factor(-dt)
         # its right-hand side w (v + dt (B v - d v)) is the reaction of a
         # scaled copy: gain rows times dt w, "death" -w (1 - dt d)
         w = bundle.diffusion.symmetriser
         keep = w * (1.0 - dt * bundle.death)
-        self._explicit = replace(bundle, birth=bundle.birth.scaled(dt * w, -keep))
+        explicit = replace(bundle, birth=bundle.birth.scaled(dt * w, -keep))
+        if bundle.birth.separable:
+            self._map = lambda values: solve(explicit.apply_reaction(values))
+        else:
+            # a dense gain makes the step dense anyway: one matrix, the step
+            # applied to the identity (death * I is diag(death) there); it is
+            # entrywise nonnegative while the budget is <= 1
+            self._map = solve(explicit.apply_reaction(np.eye(len(w)))).__matmul__
 
     def advance(self, values: np.ndarray) -> np.ndarray:
-        if self.scheme == "imex_euler":
-            return self._solve(self._explicit.apply_reaction(values))
-        return self._solve(values)
+        return self._map(values)
 
     def step(self, values: np.ndarray) -> np.ndarray:
         """Advance values by dt; nonnegative input stays nonnegative or raises."""

@@ -27,7 +27,10 @@ Every linear solve with the generator goes through `factor`.  For power-law
 kernels the birth term is semiseparable, so carrying its suffix sums as
 unknowns makes the system banded and each solve O(N): 2N unknowns with
 half-bandwidth 2, or, with the mass pin, 3N unknowns (its prefix masses
-too) with half-bandwidth 3.  Custom kernels keep the one dense path.
+too) with half-bandwidth 3.  Implicit steps (I - dt G) and shifted solves
+(G - I) are M-matrices up to sign, whose LU needs no row interchange; when
+LAPACK made none, a solve is two BLAS band sweeps.  Custom kernels keep the
+one dense path.
 Solves with the diffusion part alone go through `Tridiagonal.factor`.
 """
 
@@ -38,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .coefficients import DaughterKernel, PowerLawKernel, RateModel
 from .errors import ConfigError, NumericsError, PropertyViolation
@@ -247,12 +250,9 @@ def _interleaved_bands(bundle: OperatorBundle, alpha: float, beta: float,
     (phi_i, s_i) with k = 2, or with `pin` (phi_i, s_i, p_i) with k = 3."""
     tri, birth, mesh = bundle.diffusion, bundle.birth, bundle.mesh
     k = 3 if pin else 2
-    phi = k * np.arange(mesh.n_cells)
-    s, p = phi + 1, phi + 2     # p exists only when pinned
+    # entry (row, col) sits at ab[2k + row - col, col]; unknown i of a kind
+    # is column k i + (0 phi, 1 s, 2 p), so each diagonal is a strided row slice
     ab = np.zeros((3 * k + 1, k * mesh.n_cells), order="F")     # dgbtrf factors it in place
-
-    def put(rows, cols, values):
-        ab[2 * k + rows - cols, cols] = values
 
     # phi rows: alpha phi_i + beta (L phi - d phi + receiver_i s_i) = rhs_i
     diag = alpha + beta * (tri.diag - birth.death)
@@ -260,21 +260,21 @@ def _interleaved_bands(bundle: OperatorBundle, alpha: float, beta: float,
     receiver = beta * birth.receiver
     if pin:     # the last phi row becomes p_{N-1} = rhs_{N-1}
         diag[-1] = lower[-1] = receiver[-1] = 0.0
-        put(phi[-1], p[-1], 1.0)
-    put(phi, phi, diag)
-    put(phi[1:], phi[:-1], lower)
-    put(phi[:-1], phi[1:], beta * tri.upper)
-    put(phi, s, receiver)
+        ab[2 * k - 2, -1] = 1.0
+    ab[2 * k, ::k] = diag
+    ab[3 * k, :-k:k] = lower                # phi_i in row phi_{i+1}
+    ab[k, k::k] = beta * tri.upper          # phi_{i+1} in row phi_i
+    ab[2 * k - 1, 1::k] = receiver          # s_i in row phi_i
     # s_i = sum_{j>i} donor_j phi_j, p_i = sum_{j<=i} xbar_j dx_j phi_j by recurrences,
     # scaled to the phi rows (else pivoting lets the mass pin drift 1e-10 at N = 2^16)
     unit = float(np.max(np.abs(diag)))
-    put(s, s, unit)
-    put(s[:-1], s[1:], -unit)
-    put(s[:-1], phi[1:], -unit * birth.donor[1:])
+    ab[2 * k, 1::k] = unit
+    ab[k, k + 1::k] = -unit                 # s_{i+1} in row s_i
+    ab[k + 1, k::k] = -unit * birth.donor[1:]   # phi_{i+1} in row s_i
     if pin:
-        put(p, p, unit)
-        put(p[1:], p[:-1], -unit)
-        put(p, phi, -unit * mesh.centers * mesh.widths)
+        ab[2 * k, 2::k] = unit
+        ab[3 * k, 2:-k:k] = -unit           # p_i in row p_{i+1}
+        ab[2 * k + 2, ::k] = -unit * mesh.centers * mesh.widths     # phi_i in row p_i
     return ab
 
 
@@ -285,8 +285,10 @@ def factor(bundle: OperatorBundle, alpha: float, beta: float,
     With `pin`, the last equation is the mass row instead,
     sum_i xbar_i dx_i phi_i = rhs[-1].  Power-law kernels: banded LU of the
     system in (phi_i, s_i), half-bandwidth 2, or with `pin` in
-    (phi_i, s_i, p_i), half-bandwidth 3.  Custom kernels: LU of the same
-    matrix built from `OperatorBundle.dense()`.
+    (phi_i, s_i, p_i), half-bandwidth 3; when partial pivoting interchanged
+    no row, each solve is two `dtbsv` sweeps (unit lower, then upper band),
+    else `dgbtrs`.  Custom kernels: LU of the same matrix built from
+    `OperatorBundle.dense()`.
     """
     n = bundle.mesh.n_cells
     banded = bundle.birth.separable
@@ -301,15 +303,27 @@ def factor(bundle: OperatorBundle, alpha: float, beta: float,
         lu, piv, info = lapack.dgetrf(matrix)
     if info != 0:
         raise NumericsError(f"generator system is singular (LAPACK info {info})")
+    if not banded:
+        return lambda rhs: lapack.dgetrs(lu, piv, rhs)[0]
+    if np.array_equal(piv, np.arange(k * n)):
+        # no row interchange, so U keeps k superdiagonals (its k fill-in rows
+        # stay zero) and dgbtrs's two band sweeps run without its per-column
+        # swap and rank-one update calls
+        unit_lower, upper = np.asfortranarray(lu[2 * k:]), np.asfortranarray(lu[k:2 * k + 1])
+
+        def sweeps(z):
+            z = blas.dtbsv(k, unit_lower, z, lower=1, diag=1, overwrite_x=1)
+            return blas.dtbsv(k, upper, z, overwrite_x=1)
+    else:
+        def sweeps(z):
+            return lapack.dgbtrs(lu, k, k, z, piv, overwrite_b=True)[0]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        if not banded:
-            return lapack.dgetrs(lu, piv, rhs)[0]
         z = np.zeros(k * n)
         z[::k] = rhs
-        # z is this solve's own: LAPACK may overwrite it.  The result is a
+        # z is this solve's own: the sweeps may overwrite it.  The result is a
         # contiguous copy: the strided view would keep all k N unknowns alive
-        return lapack.dgbtrs(lu, k, k, z, piv, overwrite_b=True)[0][::k].copy()
+        return sweeps(z)[::k].copy()
 
     return solve
 

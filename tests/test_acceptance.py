@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from fragdiff import (ConstantRate, IntegratorConfig, PowerLawKernel,
+from fragdiff import (ConstantRate, CustomKernel, IntegratorConfig, PowerLawKernel,
                       PowerRate, State, assemble_bundle, build_mesh,
                       decay_rate, delta_m, evolve, heat_apply_exact,
                       heat_growth_bound, mass, moment_ceiling, solve_steady,
@@ -84,13 +84,11 @@ def test_criterion_2_mass_conservation():
     assert elapsed <= 30.0
 
 
-@pytest.mark.parametrize("scheme", ["imex_euler", "fully_implicit"])
-def test_criterion_2_mass_ledger_identity(scheme):
+def check_mass_ledger(mesh, kernel, scheme):
     # with the no-flux right end the generator's mass rate is exactly
     # -D phi_N, so the drift equals the integrated last-cell flux, taken at
     # the new level by both backward-Euler schemes
-    mesh = build_mesh(12.0, 512)
-    bundle = assemble_bundle(mesh, ConstantRate(1.0), PowerLawKernel(0.0))
+    bundle = assemble_bundle(mesh, ConstantRate(1.0), kernel)
     values = np.exp(-mesh.centers / 2.0)
     initial = State(values=values / np.sum(mesh.centers * values * mesh.widths), mesh=mesh)
     dt = 2.5e-4
@@ -101,11 +99,24 @@ def test_criterion_2_mass_ledger_identity(scheme):
     residual = float(np.max(np.abs(mass1 - mass1[0] + outflow)))
     drift = float(np.max(np.abs(mass1 - mass1[0])))
     ok = residual <= 1e-11 and drift >= 1e-5
-    report("2 (ledger)", ok, f"{scheme}: {trajectory.times.size - 1} steps, "
+    steps = trajectory.times.size - 1
+    report("2 (ledger)", ok, f"{type(kernel).__name__}, {scheme}: {steps} steps, "
                               f"|drift + outflow| {residual:.1e} (<= 1e-11), "
                               f"drift {drift:.1e} (>= 1e-5)")
     assert drift >= 1e-5            # the boundary flux is not negligible here
     assert residual <= 1e-11
+
+
+@pytest.mark.parametrize("scheme", ["imex_euler", "fully_implicit"])
+def test_criterion_2_mass_ledger_identity(scheme):
+    check_mass_ledger(build_mesh(12.0, 512), PowerLawKernel(0.0), scheme)
+
+
+@pytest.mark.parametrize("scheme", ["imex_euler", "fully_implicit"])
+def test_criterion_2_mass_ledger_identity_custom_kernel(scheme):
+    # a dense gain: imex_euler steps by one precomputed matrix
+    binary = CustomKernel(lambda x, y: 2.0 / y * np.ones_like(x), name="binary")
+    check_mass_ledger(build_mesh(12.0, 128), binary, scheme)
 
 
 def test_criterion_3_positivity():

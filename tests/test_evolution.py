@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from fragdiff import (ConfigError, ConstantRate, IntegratorConfig, NumericsError,
-                      PowerLawKernel, PowerRate, PropertyViolation, State, Stepper,
-                      apply_generator, assemble_bundle, build_mesh, default_dt,
-                      evolve, heat_apply_exact, mass, moment, solve_steady,
-                      tail_mass_fraction, x1_distance)
+from fragdiff import (ConfigError, ConstantRate, CustomKernel, IntegratorConfig,
+                      NumericsError, PowerLawKernel, PowerRate, PropertyViolation,
+                      State, Stepper, apply_generator, assemble_bundle, build_mesh,
+                      default_dt, evolve, heat_apply_exact, mass, moment,
+                      solve_steady, tail_mass_fraction, x1_distance)
 from fragdiff.evolution import RECORD_BLOCK, SCHEMES
 from fragdiff.mesh import moment_of, x1_distance_of
+from fragdiff.operators import OperatorBundle
 from conftest import exact_equilibrium
 
 
@@ -120,6 +121,43 @@ def test_imex_schemes_factor_diffusion_once(mitosis_512, monkeypatch, scheme):
     run = evolve(mitosis_512, unit_mass_exponential(mitosis_512.mesh), config)
     assert run.times.size == 51
     assert calls == [mitosis_512.mesh.n_cells]
+
+
+@pytest.fixture(scope="module")
+def binary_custom():
+    """The binary kernel as a callable: a dense gain, so a dense imex_euler step."""
+    mesh = build_mesh(20.0, 64)
+    kernel = CustomKernel(lambda x, y: 2.0 / y * np.ones_like(x), name="binary")
+    return assemble_bundle(mesh, ConstantRate(1.0), kernel)
+
+
+def test_dense_imex_step_is_one_matrix(binary_custom, monkeypatch, rng):
+    # the step matrix equals the per-vector step: a diffusion solve of the
+    # w-weighted explicit right-hand side w (v + dt (B v - d v))
+    dt = 1e-3
+    w = binary_custom.diffusion.symmetriser
+    solve = binary_custom.diffusion.factor(-dt)
+    stepper = Stepper(binary_custom, dt)
+    values = rng.standard_normal((3, binary_custom.mesh.n_cells))
+    expected = [solve(w * (v + dt * binary_custom.apply_reaction(v))) for v in values]
+
+    def unused(self, v):
+        raise AssertionError("a dense step applied the reaction")
+
+    monkeypatch.setattr(OperatorBundle, "apply_reaction", unused)
+    for v, want in zip(values, expected):
+        got = stepper.advance(v)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_dense_imex_step_keeps_nonnegative_data_without_clamp(binary_custom, rng):
+    # the budget is <= 1, so the step matrix is entrywise nonnegative
+    stepper = Stepper(binary_custom, 0.5 / float(np.max(binary_custom.death)))
+    assert stepper.positivity_budget <= 1.0
+    values = rng.random(binary_custom.mesh.n_cells) * np.exp(-binary_custom.mesh.centers)
+    for _ in range(20):
+        values = stepper.advance(values)
+        assert values.min() >= 0.0
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -228,6 +228,93 @@ def test_unpinned_factor_matches_dense_solve(rate, grading, right_bc, alpha, bet
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+def _scattered_bands(bundle, alpha, beta, pin):
+    """Reference band array: each entry scattered to ab[2k + row - col, col]."""
+    tri, birth, mesh = bundle.diffusion, bundle.birth, bundle.mesh
+    k = 3 if pin else 2
+    phi = k * np.arange(mesh.n_cells)
+    s, p = phi + 1, phi + 2
+    ab = np.zeros((3 * k + 1, k * mesh.n_cells), order="F")
+
+    def put(rows, cols, values):
+        ab[2 * k + rows - cols, cols] = values
+
+    diag = alpha + beta * (tri.diag - birth.death)
+    lower = beta * tri.lower
+    receiver = beta * birth.receiver
+    if pin:
+        diag[-1] = lower[-1] = receiver[-1] = 0.0
+        put(phi[-1], p[-1], 1.0)
+    put(phi, phi, diag)
+    put(phi[1:], phi[:-1], lower)
+    put(phi[:-1], phi[1:], beta * tri.upper)
+    put(phi, s, receiver)
+    unit = float(np.max(np.abs(diag)))
+    put(s, s, unit)
+    put(s[:-1], s[1:], -unit)
+    put(s[:-1], phi[1:], -unit * birth.donor[1:])
+    if pin:
+        put(p, p, unit)
+        put(p[1:], p[:-1], -unit)
+        put(p, phi, -unit * mesh.centers * mesh.widths)
+    return ab
+
+
+@pytest.mark.parametrize("pin, alpha, beta", [(False, 1.0, -1e-3), (False, -1.0, 1.0),
+                                              (False, 0.0, 1.0), (True, 0.0, 1.0)])
+@pytest.mark.parametrize("rate", [ConstantRate(1.0), PowerRate(1.0)],
+                         ids=["mitosis", "linear-rate"])
+def test_band_rows_equal_entrywise_scatter(rate, pin, alpha, beta):
+    mesh = build_mesh(40.0, 128, "geometric", ratio=1.02)
+    bundle = assemble_bundle(mesh, rate, PowerLawKernel(0.0), right_bc="dirichlet")
+    got = operators._interleaved_bands(bundle, alpha, beta, pin)
+    assert got.flags.f_contiguous
+    assert np.array_equal(got, _scattered_bands(bundle, alpha, beta, pin))
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, -1e-3), (-1.0, 1.0)])
+@pytest.mark.parametrize("grading, right_bc", [("uniform", "noflux"), ("geometric", "noflux"),
+                                               ("uniform", "dirichlet")])
+@pytest.mark.parametrize("rate", [ConstantRate(1.0), PowerRate(1.0)],
+                         ids=["mitosis", "linear-rate"])
+def test_pivot_free_factor_solves_by_band_sweeps(monkeypatch, rate, grading, right_bc,
+                                                 alpha, beta, rng):
+    # I - dt G and G - I are negated M-matrices: partial pivoting interchanges
+    # no rows, and factor's two band sweeps give dgbtrs's result on the same LU
+    mesh = build_mesh(40.0, 512, grading, ratio=1.01 if grading == "geometric" else None)
+    bundle = assemble_bundle(mesh, rate, PowerLawKernel(0.0), right_bc=right_bc)
+    n, lapack = mesh.n_cells, operators.lapack
+    lu, piv, info = lapack.dgbtrf(operators._interleaved_bands(bundle, alpha, beta, False), 2, 2)
+    assert info == 0 and np.array_equal(piv, np.arange(2 * n))
+    rhs = rng.random(n)
+    z = np.zeros(2 * n)
+    z[::2] = rhs
+    expected = lapack.dgbtrs(lu, 2, 2, z, piv)[0][::2]
+
+    def unused(*args, **kwargs):
+        raise AssertionError("dgbtrs called on a pivot-free LU")
+
+    monkeypatch.setattr(lapack, "dgbtrs", unused)
+    assert np.array_equal(operators.factor(bundle, alpha, beta)(rhs), expected)
+
+
+@pytest.mark.parametrize("pin, alpha, beta", [(True, 0.0, 1.0), (False, 0.0, 1.0)])
+def test_pivoting_factor_keeps_dgbtrs(monkeypatch, linear_rate_512, pin, alpha, beta):
+    # the pinned steady solve and zero-shift inverse iteration interchange rows
+    # (whether G alone does depends on the mesh: here it does)
+    calls = []
+    dgbtrs = operators.lapack.dgbtrs
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return dgbtrs(*args, **kwargs)
+
+    monkeypatch.setattr(operators.lapack, "dgbtrs", spy)
+    n = linear_rate_512.mesh.n_cells
+    operators.factor(linear_rate_512, alpha, beta, pin=pin)(np.ones(n))
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("pin, width", [(False, 2), (True, 3)])
 def test_banded_layout_carries_mass_unknowns_only_when_pinned(monkeypatch, mitosis_512,
                                                               pin, width):
