@@ -14,13 +14,15 @@ The imex_euler solve takes right-hand sides weighted by the symmetriser w,
 and its reaction rows are scaled by w once, so that one reaction apply forms
 its right-hand side dt w B v + w (1 - dt d) v.  For a power-law kernel each
 step is that apply and one `pttrs`; a custom kernel's gain is a dense matrix,
-so its step is too: the stepper applies the step to the identity once and
-then takes one matrix-vector product per step.  `Stepper.step` maps cell
-values to cell values.  `evolve` steps raw arrays and copies each state
-into a block of RECORD_BLOCK rows; once the block is full, it takes every
-recorded reduction of those steps as one `np.vecdot` of the block with a
-weight row built once per run.  Each row's dot is the same BLAS dot as the
-public reduction's, so the records equal the reductions bit for bit.
+so its step is too: the stepper applies the step to the identity once, and
+each step is one product with that matrix M.  `Stepper.step` maps cell
+values to cell values.  `evolve` fills blocks of RECORD_BLOCK states by
+`Stepper.fill`: step by step, or, when M >= 0 entrywise (a positive
+semigroup, as while dt max(death) <= 1), by one product of the stacked
+powers [M; M^2; ...; M^RECORD_BLOCK] with the state before the block.  It
+takes every recorded reduction of a block as one `np.vecdot` with a weight
+row built once per run, the same BLAS dot as the public reduction's, so
+the records equal the reductions bit for bit.
 
 imex_euler preserves nonnegativity when dt * max(death) <= 1 (the right-hand
 side stays nonnegative and the diffusion system is an M-matrix); the default
@@ -114,6 +116,7 @@ class Stepper:
         _check_step(scheme, dt)
         self.reaction_cfl = dt * float(np.max(bundle.death))
         self.positivity_budget = positivity_budget(bundle, dt, scheme)
+        self._powers = None     # M, M^2, ..., M^RECORD_BLOCK of a nonnegative dense step M
         if scheme == "fully_implicit":
             self._map = factor(bundle, 1.0, -dt)
             return
@@ -131,7 +134,15 @@ class Stepper:
             # a dense gain makes the step dense anyway: one matrix, the step
             # applied to the identity (death * I is diag(death) there); it is
             # entrywise nonnegative while the budget is <= 1
-            self._map = solve(explicit.apply_reaction(np.eye(len(w)))).__matmul__
+            matrix = solve(explicit.apply_reaction(np.eye(len(w))))
+            self._map = matrix.__matmul__
+            if matrix.min() >= 0.0:
+                # then M, M^2, ..., M^RECORD_BLOCK are a positive semigroup:
+                # stacked, they map a state to the next block of states at once
+                self._powers = powers = np.empty((RECORD_BLOCK, *matrix.shape))
+                powers[0] = matrix
+                for i in range(1, RECORD_BLOCK):
+                    np.matmul(matrix, powers[i - 1], out=powers[i])
 
     def advance(self, values: np.ndarray) -> np.ndarray:
         return self._map(values)
@@ -150,6 +161,20 @@ class Stepper:
                     f"positivity violated: minimum {low:.3e} below {POSITIVITY_FLOOR}")
             new = np.maximum(new, 0.0)
         return new
+
+    def fill(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Write the len(rows) states after values, one step apart, into rows;
+        return the last as an array of its own.  Stacked powers fill the rows
+        in one product, and as M >= 0 keeps nonnegative data nonnegative
+        exactly, step()'s checks reduce to one finiteness check."""
+        if self._powers is None:
+            for row in rows:
+                row[:] = values = self.step(values)
+            return values
+        np.matmul(self._powers[:len(rows)], values, out=rows)
+        if not (math.isfinite(rows.min()) and math.isfinite(rows.max())):
+            raise NumericsError("integrator produced non-finite values")
+        return rows[-1].copy()
 
 
 @dataclass
@@ -199,12 +224,11 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
     tail, sums = np.zeros(n_steps + 1), np.empty((len(orders), n_steps + 1))
     dist = np.empty(n_steps + 1) if reference is not None else None
     # preallocated: a fresh block-sized temporary per record costs page faults
-    block = np.empty((min(RECORD_BLOCK, n_steps + 1), mesh.n_cells))
+    block = np.empty((min(RECORD_BLOCK, n_steps), mesh.n_cells))
     buffer = np.empty_like(block)
 
-    def record(start: int, signed: bool):
-        """Fill every series from step `start` on with the states in block."""
-        rows = block[:n_steps + 1 - start]
+    def record(start: int, rows: np.ndarray, signed: bool):
+        """Fill every series from step `start` on with the states in rows."""
         stop, work = start + len(rows), buffer[:len(rows)]
         for i, row in enumerate(weights):
             np.vecdot(rows, row, out=sums[i, start:stop])
@@ -217,23 +241,23 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
             np.abs(np.subtract(rows, reference.values, out=work), out=work)
             np.vecdot(work, mass_row, out=dist[start:stop])
 
-    values = initial.values
+    values, every, stored = initial.values, config.output_every, []
     block[0] = values
     low = min_seen = float(values.min(initial=0.0))
-    start, signed, stored = 0, low < 0.0, []
-    for k in range(1, n_steps + 1):
-        values = stepper.step(values)
-        if low < 0.0:   # signed data; step() keeps nonnegative data nonnegative
-            min_seen = min(min_seen, low := float(values.min(initial=0.0)))
-        if k - start == len(block):     # full: record it and start the next at k
-            record(start, signed)
-            # states turn nonnegative at most once, so a block's first state
-            # says whether any of them is signed
-            start, signed = k, low < 0.0
-        block[k - start] = values
-        if k % config.output_every == 0 or k == n_steps:
-            stored.append(State._checked(values, mesh, float(times[k])))
-    record(start, signed)
+    record(0, block[:1], low < 0.0)
+    for start in range(1, n_steps + 1, RECORD_BLOCK):
+        rows = block[:min(RECORD_BLOCK, n_steps + 1 - start)]
+        # states turn nonnegative at most once: the state before a block tells
+        signed = low < 0.0      # whether any of the block's states is signed
+        values = stepper.fill(rows, values)
+        if signed:      # fill() keeps nonnegative data nonnegative
+            min_seen = min(min_seen, float(rows.min(initial=0.0)))
+            low = float(values.min(initial=0.0))
+        record(start, rows, signed)
+        for i in range(-start % every, len(rows), every):     # steps k = start + i
+            stored.append(State._checked(rows[i].copy(), mesh, float(times[start + i])))
+    if n_steps % every:     # the final state is kept too
+        stored.append(State._checked(values, mesh, float(times[-1])))
 
     mass0 = moment_of(mesh, initial.values, 1.0)
     drift = np.zeros(n_steps + 1) if mass0 == 0.0 else (sums[1] - mass0) / mass0

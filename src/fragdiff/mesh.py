@@ -85,6 +85,9 @@ def build_mesh(x_max: float, n_cells: int, grading: str = "uniform",
         return Mesh(edges=np.linspace(0.0, x_max, n_cells + 1))
     if ratio is None or not (1.0 < ratio <= 1.2):
         raise ConfigError(f"ratio must lie in (1, 1.2] for geometric grading, got {ratio}")
+    if n_cells * np.log(ratio) + max(np.log(x_max), 0.0) >= np.log(np.finfo(float).max):
+        raise ConfigError(f"ratio = {ratio} and n_cells = {n_cells} give geometric edges "
+                          "beyond the float range (x_max * ratio^n_cells overflows)")
     k = np.arange(n_cells + 1, dtype=float)
     edges = x_max * (ratio ** k - 1.0) / (ratio ** n_cells - 1.0)
     edges[0] = 0.0

@@ -16,6 +16,7 @@ the quadratic remainder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -42,11 +43,6 @@ def require_mass(mass: float) -> None:
         raise ConfigError(f"mass must be finite and >= 0, got {mass}")
 
 
-def _solve_pinned(bundle: OperatorBundle, rhs: np.ndarray, target_mass: float) -> np.ndarray:
-    """Solve G psi = rhs off the last cell, with the mass of psi pinned there."""
-    return factor(bundle, 0.0, 1.0, pin=True)(np.append(rhs[:-1], target_mass))
-
-
 def solve_steady(bundle: OperatorBundle, normalize_mass: float = 1.0) -> SteadyResult:
     """Mass-normalized steady profile with its generator residual.
 
@@ -55,7 +51,12 @@ def solve_steady(bundle: OperatorBundle, normalize_mass: float = 1.0) -> SteadyR
     (coefficients outside the uniqueness hypotheses, or a too-coarse mesh).
     """
     require_mass(normalize_mass)
-    psi = _solve_pinned(bundle, np.zeros(bundle.mesh.n_cells), normalize_mass)
+    return _steady(bundle, factor(bundle, 0.0, 1.0, pin=True), normalize_mass)
+
+
+def _steady(bundle: OperatorBundle, pinned: Callable, normalize_mass: float) -> SteadyResult:
+    # pinned solves G psi = rhs off the last cell, with the mass rhs[-1] there
+    psi = pinned(np.append(np.zeros(bundle.mesh.n_cells - 1), normalize_mass))
     peak = float(np.max(np.abs(psi))) or 1.0
     low = float(psi.min())
     if low < -NEGATIVITY_TOL * peak:
@@ -69,15 +70,16 @@ def solve_steady(bundle: OperatorBundle, normalize_mass: float = 1.0) -> SteadyR
                         min_value=low)
 
 
-def lift_response(bundle: OperatorBundle, base_steady: np.ndarray) -> np.ndarray:
+def lift_response(bundle: OperatorBundle, base_steady: np.ndarray,
+                  pinned: Callable) -> np.ndarray:
     """First-order steady-state response to the rate lift a -> a + eps * x.
 
-    Solves G chi = -(E psi) with zero mass, where E is the reaction operator
-    of the pure lift direction (rate x, same kernel).
+    Solves G chi = -(E psi) with zero mass by `pinned = factor(bundle, 0, 1, pin=True)`,
+    where E is the reaction operator of the pure lift direction (rate x, same kernel).
     """
     lift = assemble_birth(bundle.mesh, PowerRate(1.0), bundle.kernel)
     forcing = lift.apply(base_steady) - lift.death * base_steady
-    return _solve_pinned(bundle, -forcing, 0.0)
+    return pinned(np.append(-forcing[:-1], 0.0))
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,8 @@ def solve_steady_regularized(bundle: OperatorBundle,
             f"(pairwise X1 distances {pair_x1})")
 
     # remove the exact 1/n term, then Richardson on the n^-2 remainder
-    base = solve_steady(bundle)
-    chi = lift_response(bundle, base.state.values)
+    pinned = factor(bundle, 0.0, 1.0, pin=True)
+    chi = lift_response(bundle, _steady(bundle, pinned, 1.0).state.values, pinned)
     corrected = [st.values - chi / n for st, n in zip(states, seq)]
     richardson = (seq[-1] / seq[-2]) ** 2 - 1.0
     limit_values = corrected[-1] + (corrected[-1] - corrected[-2]) / richardson

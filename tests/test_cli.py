@@ -394,6 +394,16 @@ def test_unusable_numbers_exit_2_without_traceback(tmp_path, capsys, bad):
     assert "Traceback" not in err
 
 
+def test_overflowing_geometric_mesh_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[run]\npreset = mitosis\n[domain]\ncells = 5000\n"
+                        "grading = geometric\nratio = 1.2\n")
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg_file}:") and "Traceback" not in err
+    assert "ratio = 1.2 and n_cells = 5000" in err
+
+
 def _run_with_src(*args):
     """Run the interpreter in a fresh process that imports this checkout's package."""
     src = Path(fragdiff.__file__).resolve().parents[1]

@@ -10,7 +10,7 @@ from fragdiff import (ConfigError, ConstantRate, CustomKernel, IntegratorConfig,
                       State, Stepper, apply_generator, assemble_bundle, build_mesh,
                       default_dt, evolve, heat_apply_exact, mass, moment,
                       solve_steady, tail_mass_fraction, x1_distance)
-from fragdiff.evolution import RECORD_BLOCK, SCHEMES
+from fragdiff.evolution import POSITIVITY_FLOOR, RECORD_BLOCK, SCHEMES
 from fragdiff.mesh import moment_of, x1_distance_of
 from fragdiff.operators import OperatorBundle
 from conftest import exact_equilibrium
@@ -279,16 +279,22 @@ def test_recording_of_a_clamped_run(fine_geometric):
 
 @pytest.mark.parametrize("n_steps", [1, RECORD_BLOCK - 1, RECORD_BLOCK, RECORD_BLOCK + 1,
                                      2 * RECORD_BLOCK + 3])
-@pytest.mark.parametrize("data", ["signed", "turning", "zero", "clamped"])
-def test_recording_across_block_boundaries(mitosis_512, linear_rate_512, data, n_steps):
+@pytest.mark.parametrize("data", ["signed", "turning", "zero", "clamped",
+                                  "custom-signed", "custom-turning", "custom-zero"])
+def test_recording_across_block_boundaries(mitosis_512, linear_rate_512, binary_custom,
+                                           data, n_steps):
     # evolve records RECORD_BLOCK states at a time; a run may end anywhere in
-    # a block, and a block may hold signed and nonnegative states together
-    bundle, dt = mitosis_512, 1e-3
+    # a block, and a block may hold signed and nonnegative states together.
+    # The custom bundle's step matrix is nonnegative, so it fills each block
+    # with one product of its stacked powers
+    bundle, dt, dip = mitosis_512, 1e-3, (20.0, 0.0035, 23)   # center, depth, turning step
+    if data.startswith("custom-"):
+        bundle, data, dip = binary_custom, data[len("custom-"):], (10.0, 0.075, 22)
     xc = bundle.mesh.centers
     if data == "signed":
         values = np.sin(xc) * np.exp(-0.3 * xc)
-    elif data == "turning":     # the dip fills in at step 23, inside the second block
-        values = np.exp(-0.3 * xc) - 0.0035 * np.exp(-((xc - 20.0) / 0.3) ** 2)
+    elif data == "turning":     # the dip fills in inside the second block
+        values = np.exp(-0.3 * xc) - dip[1] * np.exp(-((xc - dip[0]) / 0.3) ** 2)
     elif data == "zero":
         values = np.zeros(xc.size)
     else:   # imex_euler beyond its budget clamps step 1, block row 1
@@ -308,7 +314,7 @@ def test_recording_across_block_boundaries(mitosis_512, linear_rate_512, data, n
         assert max(minima) < 0.0
     elif data == "turning":
         turned = next((k for k, low in enumerate(minima, 1) if low >= 0.0), None)
-        assert turned == (23 if n_steps >= 23 else None)
+        assert turned == (dip[2] if n_steps >= dip[2] else None)
         assert trajectory.min_value < 0.0
     elif data == "zero":
         assert np.all(trajectory.tail_fraction == 0.0)
@@ -317,6 +323,59 @@ def test_recording_across_block_boundaries(mitosis_512, linear_rate_512, data, n
         assert min(minima) >= 0.0 and trajectory.min_value == 0.0
         with pytest.warns(UserWarning, match="positivity budget"):
             assert Stepper(bundle, dt).advance(values).min() < 0.0
+
+
+@pytest.mark.parametrize("data", ["nonnegative", "signed"])
+def test_dense_evolve_matches_a_step_loop(binary_custom, monkeypatch, data):
+    # the block product M^k v against k steps of M: every stored state and
+    # every record within 1e-12 relative, with no per-step call in the run
+    mesh, dt, n_steps = binary_custom.mesh, 1e-3, 3 * RECORD_BLOCK + 5
+    values = np.exp(-0.3 * mesh.centers) * (np.sin(mesh.centers) if data == "signed" else 1.0)
+    initial = State(values=values, mesh=mesh)
+    stepper = Stepper(binary_custom, dt)
+    states = [values]
+    for _ in range(n_steps):
+        states.append(stepper.step(states[-1]))
+
+    def unused(self, v):
+        raise AssertionError("the block path took a single step")
+
+    monkeypatch.setattr(Stepper, "step", unused)
+    monkeypatch.setattr(Stepper, "advance", unused)
+    config = IntegratorConfig(dt=dt, t_end=n_steps * dt, moment_order=2.5)
+    trajectory = evolve(binary_custom, initial, config)
+    assert len(trajectory.states) == n_steps
+    for state, want in zip(trajectory.states, states[1:]):
+        assert np.max(np.abs(state.values - want)) <= 1e-12 * np.max(np.abs(want))
+    for m, series in trajectory.moments.items():
+        want = np.array([moment_of(mesh, v, m) for v in states])
+        assert np.all(np.abs(series - want) <= 1e-12 * np.abs(want))
+    want = np.array([tail_mass_fraction(State(values=v, mesh=mesh)) for v in states])
+    assert np.all(np.abs(trajectory.tail_fraction - want) <= 1e-12 * want)
+    assert (trajectory.min_value < 0.0) == (data == "signed")
+
+
+def test_dense_stepper_past_its_budget_keeps_the_clamp_rule(binary_custom):
+    # beyond the budget the step matrix has negative entries, so the stepper
+    # keeps no block product and step() clamps or raises as for a power law
+    dt, xc = 1.5, binary_custom.mesh.centers
+    spike = np.exp(-((xc - 15.0) / 0.2) ** 2)
+    with pytest.warns(UserWarning, match="positivity budget 1.48"):
+        stepper = Stepper(binary_custom, dt)
+    assert stepper.advance(spike).min() < -0.03     # unit scale: below the floor
+    with pytest.raises(PropertyViolation, match="positivity violated"):
+        stepper.step(spike)
+    tiny = State(values=1e-12 * spike, mesh=binary_custom.mesh)
+    assert POSITIVITY_FLOOR < stepper.advance(tiny.values).min() < 0.0
+    with pytest.warns(UserWarning, match="positivity budget"):
+        trajectory = evolve(binary_custom, tiny, IntegratorConfig(dt=dt, t_end=10 * dt))
+    assert trajectory.min_value == 0.0
+    assert min(state.values.min() for state in trajectory.states) >= 0.0
+    _assert_records_equal_public_reductions(trajectory, tiny)
+    with pytest.warns(UserWarning, match="positivity budget"), \
+            pytest.raises(PropertyViolation, match="positivity violated"):
+        evolve(binary_custom, State(values=spike, mesh=binary_custom.mesh),
+               IntegratorConfig(dt=dt, t_end=10 * dt))
 
 
 @pytest.mark.parametrize("signed", [False, True])

@@ -35,10 +35,20 @@ def test_geometric_first_width_matches_series():
     dict(x_max=10.0, n_cells=16, grading="geometric", ratio=1.5),
     dict(x_max=10.0, n_cells=16, grading="geometric"),
     dict(x_max=10.0, n_cells=16, grading="cubic"),
+    # x_max * ratio^n_cells overflows in the edge formula's product, or
+    # ratio^n_cells overflows by itself
+    dict(x_max=40.0, n_cells=3893, grading="geometric", ratio=1.2),
+    dict(x_max=40.0, n_cells=5000, grading="geometric", ratio=1.2),
 ])
 def test_build_mesh_rejects_bad_input(bad):
     with pytest.raises(ConfigError):
         build_mesh(**bad)
+
+
+def test_largest_geometric_mesh_below_overflow_builds():
+    # 1.2^3872 * 40 fits a float: the edges come from the same formula
+    mesh = build_mesh(40.0, 3872, "geometric", ratio=1.2)
+    assert mesh.edges[-1] == 40.0 and mesh.widths.min() > 0.0
 
 
 def test_moment_of_zero_state(mesh_512):

@@ -9,6 +9,7 @@ from fragdiff import (ConstantRate, IntegratorConfig, OperatorBundle,
                       dominant_eigenpair, evolve, solve_steady,
                       solve_steady_regularized, spectral_gap,
                       subdominant_spectrum, x1_distance)
+from fragdiff import operators
 from fragdiff.stationary import lift_response
 from conftest import exact_equilibrium
 
@@ -81,7 +82,8 @@ def test_structured_solves_match_dense_oracle(rate, nu, grading, right_bc):
     lift = assemble_birth(mesh, PowerRate(1.0), bundle.kernel)
     forcing = -(lift.apply(steady) - lift.death * steady)
     forcing[-1] = 0.0
-    assert relative_error(lift_response(bundle, steady),
+    factored = operators.factor(bundle, 0.0, 1.0, pin=True)
+    assert relative_error(lift_response(bundle, steady, factored),
                           np.linalg.solve(pinned, forcing)) <= 1e-10
 
     f = np.exp(-mesh.centers)
@@ -207,6 +209,21 @@ def test_regularized_on_already_growing_rate():
     assert np.all(np.diff(distances) < 0)
     assert distances[-1] < 0.02
     assert x1_distance(result.limit, base) < 1e-3
+
+
+def test_regularized_factors_the_base_system_once(monkeypatch, mitosis_512):
+    # one factorisation per lift, and one that the base steady state and its
+    # lift response share: 5 for 4 lifts
+    calls = []
+    dgbtrf = operators.lapack.dgbtrf
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return dgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(operators.lapack, "dgbtrf", spy)
+    assert solve_steady_regularized(mitosis_512, (4, 16, 64, 256)).cauchy_ok
+    assert len(calls) == 5
 
 
 def test_regularized_rejects_vanishing_tail_rate():
