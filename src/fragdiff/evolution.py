@@ -18,8 +18,8 @@ so its step is too: the stepper applies the step to the identity once, and
 each step is one product with that matrix M.  `Stepper.step` maps cell
 values to cell values.  `evolve` fills blocks of RECORD_BLOCK states by
 `Stepper.fill`: step by step, or, when M >= 0 entrywise (a positive
-semigroup, as while dt max(death) <= 1), by one product of the stacked
-powers [M; M^2; ...; M^RECORD_BLOCK] with the state before the block.  It
+semigroup, as while dt max(death) <= 1), by a bare product with M per
+state, written into its row and checked once per block.  It
 takes every recorded reduction of a block as one `np.vecdot` with a weight
 row built once per run, the same BLAS dot as the public reduction's, so
 the records equal the reductions bit for bit.
@@ -116,7 +116,7 @@ class Stepper:
         _check_step(scheme, dt)
         self.reaction_cfl = dt * float(np.max(bundle.death))
         self.positivity_budget = positivity_budget(bundle, dt, scheme)
-        self._powers = None     # M, M^2, ..., M^RECORD_BLOCK of a nonnegative dense step M
+        self._positive = None   # a dense step matrix M with no negative entry
         if scheme == "fully_implicit":
             self._map = factor(bundle, 1.0, -dt)
             return
@@ -136,13 +136,8 @@ class Stepper:
             # entrywise nonnegative while the budget is <= 1
             matrix = solve(explicit.apply_reaction(np.eye(len(w))))
             self._map = matrix.__matmul__
-            if matrix.min() >= 0.0:
-                # then M, M^2, ..., M^RECORD_BLOCK are a positive semigroup:
-                # stacked, they map a state to the next block of states at once
-                self._powers = powers = np.empty((RECORD_BLOCK, *matrix.shape))
-                powers[0] = matrix
-                for i in range(1, RECORD_BLOCK):
-                    np.matmul(matrix, powers[i - 1], out=powers[i])
+            if matrix.min() >= 0.0:     # then M v >= 0 exactly for every v >= 0
+                self._positive = matrix
 
     def advance(self, values: np.ndarray) -> np.ndarray:
         return self._map(values)
@@ -164,17 +159,18 @@ class Stepper:
 
     def fill(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Write the len(rows) states after values, one step apart, into rows;
-        return the last as an array of its own.  Stacked powers fill the rows
-        in one product, and as M >= 0 keeps nonnegative data nonnegative
-        exactly, step()'s checks reduce to one finiteness check."""
-        if self._powers is None:
+        return the last as an array of its own.  With M >= 0 each row is the
+        product step() takes, and as it keeps nonnegative data nonnegative
+        exactly, step()'s checks reduce to one finiteness check per block."""
+        if self._positive is None:
             for row in rows:
                 row[:] = values = self.step(values)
             return values
-        np.matmul(self._powers[:len(rows)], values, out=rows)
+        for row in rows:
+            values = np.matmul(self._positive, values, out=row)
         if not (math.isfinite(rows.min()) and math.isfinite(rows.max())):
             raise NumericsError("integrator produced non-finite values")
-        return rows[-1].copy()
+        return values.copy()
 
 
 @dataclass

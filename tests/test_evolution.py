@@ -286,7 +286,7 @@ def test_recording_across_block_boundaries(mitosis_512, linear_rate_512, binary_
     # evolve records RECORD_BLOCK states at a time; a run may end anywhere in
     # a block, and a block may hold signed and nonnegative states together.
     # The custom bundle's step matrix is nonnegative, so it fills each block
-    # with one product of its stacked powers
+    # by bare products and checks the block once
     bundle, dt, dip = mitosis_512, 1e-3, (20.0, 0.0035, 23)   # center, depth, turning step
     if data.startswith("custom-"):
         bundle, data, dip = binary_custom, data[len("custom-"):], (10.0, 0.075, 22)
@@ -327,8 +327,8 @@ def test_recording_across_block_boundaries(mitosis_512, linear_rate_512, binary_
 
 @pytest.mark.parametrize("data", ["nonnegative", "signed"])
 def test_dense_evolve_matches_a_step_loop(binary_custom, monkeypatch, data):
-    # the block product M^k v against k steps of M: every stored state and
-    # every record within 1e-12 relative, with no per-step call in the run
+    # the block fill takes step()'s product without step()'s checks: every
+    # stored state and every record equal bit for bit, with no step() in the run
     mesh, dt, n_steps = binary_custom.mesh, 1e-3, 3 * RECORD_BLOCK + 5
     values = np.exp(-0.3 * mesh.centers) * (np.sin(mesh.centers) if data == "signed" else 1.0)
     initial = State(values=values, mesh=mesh)
@@ -346,18 +346,17 @@ def test_dense_evolve_matches_a_step_loop(binary_custom, monkeypatch, data):
     trajectory = evolve(binary_custom, initial, config)
     assert len(trajectory.states) == n_steps
     for state, want in zip(trajectory.states, states[1:]):
-        assert np.max(np.abs(state.values - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(state.values, want)
     for m, series in trajectory.moments.items():
-        want = np.array([moment_of(mesh, v, m) for v in states])
-        assert np.all(np.abs(series - want) <= 1e-12 * np.abs(want))
-    want = np.array([tail_mass_fraction(State(values=v, mesh=mesh)) for v in states])
-    assert np.all(np.abs(trajectory.tail_fraction - want) <= 1e-12 * want)
+        assert np.array_equal(series, [moment_of(mesh, v, m) for v in states])
+    assert np.array_equal(trajectory.tail_fraction,
+                          [tail_mass_fraction(State(values=v, mesh=mesh)) for v in states])
     assert (trajectory.min_value < 0.0) == (data == "signed")
 
 
 def test_dense_stepper_past_its_budget_keeps_the_clamp_rule(binary_custom):
     # beyond the budget the step matrix has negative entries, so the stepper
-    # keeps no block product and step() clamps or raises as for a power law
+    # fills no block by bare products and step() clamps or raises as for a power law
     dt, xc = 1.5, binary_custom.mesh.centers
     spike = np.exp(-((xc - 15.0) / 0.2) ** 2)
     with pytest.warns(UserWarning, match="positivity budget 1.48"):
