@@ -26,11 +26,10 @@ alone.  Cell averages of a are mass-weighted for the same reason.
 Every linear solve with the generator goes through `factor`.  For power-law
 kernels the birth term is semiseparable, so carrying its suffix sums as
 unknowns makes the system banded and each solve O(N): 2N unknowns with
-half-bandwidth 2, or, with the mass pin, 3N unknowns (its prefix masses
-too) with half-bandwidth 3.  Implicit steps (I - dt G) and shifted solves
-(G - I) are M-matrices up to sign, whose LU needs no row interchange; when
-LAPACK made none, a solve is two BLAS band sweeps.  Custom kernels keep the
-one dense path.
+half-bandwidth 2, one layout for every shift.  Implicit steps (I - dt G) and
+shifted solves (G - I) are M-matrices up to sign, whose LU needs no row
+interchange; when LAPACK made none, a solve is two BLAS band sweeps.  Custom
+kernels keep the one dense path.
 Solves with the diffusion part alone go through `Tridiagonal.factor`.
 """
 
@@ -244,86 +243,68 @@ class OperatorBundle:
         return out + self.birth.applied_matrix()
 
 
-def _interleaved_bands(bundle: OperatorBundle, alpha: float, beta: float,
-                       pin: bool) -> np.ndarray:
-    """LAPACK band storage (kl = ku = k) of alpha*I + beta*G, unknowns
-    (phi_i, s_i) with k = 2, or with `pin` (phi_i, s_i, p_i) with k = 3."""
-    tri, birth, mesh = bundle.diffusion, bundle.birth, bundle.mesh
-    k = 3 if pin else 2
-    # entry (row, col) sits at ab[2k + row - col, col]; unknown i of a kind
-    # is column k i + (0 phi, 1 s, 2 p), so each diagonal is a strided row slice
-    ab = np.zeros((3 * k + 1, k * mesh.n_cells), order="F")     # dgbtrf factors it in place
-
+def _interleaved_bands(bundle: OperatorBundle, alpha: float, beta: float) -> np.ndarray:
+    """LAPACK band storage (kl = ku = 2) of alpha*I + beta*G in the unknowns (phi_i, s_i)."""
+    tri, birth = bundle.diffusion, bundle.birth
+    # entry (row, col) sits at ab[4 + row - col, col]; phi_i is column 2i and
+    # s_i column 2i + 1, so each diagonal is a strided row slice
+    ab = np.zeros((7, 2 * bundle.mesh.n_cells), order="F")     # dgbtrf factors it in place
     # phi rows: alpha phi_i + beta (L phi - d phi + receiver_i s_i) = rhs_i
     diag = alpha + beta * (tri.diag - birth.death)
-    lower = beta * tri.lower
-    receiver = beta * birth.receiver
-    if pin:     # the last phi row becomes p_{N-1} = rhs_{N-1}
-        diag[-1] = lower[-1] = receiver[-1] = 0.0
-        ab[2 * k - 2, -1] = 1.0
-    ab[2 * k, ::k] = diag
-    ab[3 * k, :-k:k] = lower                # phi_i in row phi_{i+1}
-    ab[k, k::k] = beta * tri.upper          # phi_{i+1} in row phi_i
-    ab[2 * k - 1, 1::k] = receiver          # s_i in row phi_i
-    # s_i = sum_{j>i} donor_j phi_j, p_i = sum_{j<=i} xbar_j dx_j phi_j by recurrences,
-    # scaled to the phi rows (else pivoting lets the mass pin drift 1e-10 at N = 2^16)
+    ab[4, ::2] = diag
+    ab[6, :-2:2] = beta * tri.lower         # phi_i in row phi_{i+1}
+    ab[2, 2::2] = beta * tri.upper          # phi_{i+1} in row phi_i
+    ab[3, 1::2] = beta * birth.receiver     # s_i in row phi_i
+    # s_i = sum_{j>i} donor_j phi_j by recurrence, scaled to the phi rows for
+    # pivoting on G (unscaled, the mitosis steady M2 errs 9e-8, not 1e-9, at N = 2^18)
     unit = float(np.max(np.abs(diag)))
-    ab[2 * k, 1::k] = unit
-    ab[k, k + 1::k] = -unit                 # s_{i+1} in row s_i
-    ab[k + 1, k::k] = -unit * birth.donor[1:]   # phi_{i+1} in row s_i
-    if pin:
-        ab[2 * k, 2::k] = unit
-        ab[3 * k, 2:-k:k] = -unit           # p_i in row p_{i+1}
-        ab[2 * k + 2, ::k] = -unit * mesh.centers * mesh.widths     # phi_i in row p_i
+    ab[4, 1::2] = unit
+    ab[2, 3::2] = -unit                     # s_{i+1} in row s_i
+    ab[3, 2::2] = -unit * birth.donor[1:]   # phi_{i+1} in row s_i
     return ab
 
 
-def factor(bundle: OperatorBundle, alpha: float, beta: float,
-           pin: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+def factor(bundle: OperatorBundle, alpha: float,
+           beta: float) -> Callable[[np.ndarray], np.ndarray]:
     """Factor alpha*I + beta*G once; return solve(rhs) -> phi.
 
-    With `pin`, the last equation is the mass row instead,
-    sum_i xbar_i dx_i phi_i = rhs[-1].  Power-law kernels: banded LU of the
-    system in (phi_i, s_i), half-bandwidth 2, or with `pin` in
-    (phi_i, s_i, p_i), half-bandwidth 3; when partial pivoting interchanged
-    no row, each solve is two `dtbsv` sweeps (unit lower, then upper band),
-    else `dgbtrs`.  Custom kernels: LU of the same matrix built from
-    `OperatorBundle.dense()`.
+    Power-law kernels: banded LU of the system in (phi_i, s_i), half-bandwidth
+    2; when partial pivoting interchanged no row, each solve is two `dtbsv`
+    sweeps (unit lower, then upper band), else `dgbtrs`.  Custom kernels: LU
+    of the same matrix built from `OperatorBundle.dense()`.  A singular
+    system raises NumericsError.  G itself (alpha = 0) is singular only up to
+    roundoff; were it exactly singular, G with the mass row in place of its
+    last row would be the alternative for the steady solves.
     """
     n = bundle.mesh.n_cells
     banded = bundle.birth.separable
-    k = 3 if pin else 2
     if banded:
-        lu, piv, info = lapack.dgbtrf(_interleaved_bands(bundle, alpha, beta, pin), k, k,
+        lu, piv, info = lapack.dgbtrf(_interleaved_bands(bundle, alpha, beta), 2, 2,
                                       overwrite_ab=True)
     else:
-        matrix = alpha * np.eye(n) + beta * bundle.dense()
-        if pin:
-            matrix[-1] = bundle.mesh.centers * bundle.mesh.widths
-        lu, piv, info = lapack.dgetrf(matrix)
+        lu, piv, info = lapack.dgetrf(alpha * np.eye(n) + beta * bundle.dense())
     if info != 0:
         raise NumericsError(f"generator system is singular (LAPACK info {info})")
     if not banded:
         return lambda rhs: lapack.dgetrs(lu, piv, rhs)[0]
-    if np.array_equal(piv, np.arange(k * n)):
-        # no row interchange, so U keeps k superdiagonals (its k fill-in rows
-        # stay zero) and dgbtrs's two band sweeps run without its per-column
-        # swap and rank-one update calls
-        unit_lower, upper = np.asfortranarray(lu[2 * k:]), np.asfortranarray(lu[k:2 * k + 1])
+    if np.array_equal(piv, np.arange(2 * n)):
+        # no row interchange: U keeps 2 superdiagonals (its fill-in rows stay
+        # zero), and the sweeps skip dgbtrs's per-column swap and update calls
+        unit_lower, upper = np.asfortranarray(lu[4:]), np.asfortranarray(lu[2:5])
 
         def sweeps(z):
-            z = blas.dtbsv(k, unit_lower, z, lower=1, diag=1, overwrite_x=1)
-            return blas.dtbsv(k, upper, z, overwrite_x=1)
+            z = blas.dtbsv(2, unit_lower, z, lower=1, diag=1, overwrite_x=1)
+            return blas.dtbsv(2, upper, z, overwrite_x=1)
     else:
         def sweeps(z):
-            return lapack.dgbtrs(lu, k, k, z, piv, overwrite_b=True)[0]
+            return lapack.dgbtrs(lu, 2, 2, z, piv, overwrite_b=True)[0]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        z = np.zeros(k * n)
-        z[::k] = rhs
+        z = np.zeros(2 * n)
+        z[::2] = rhs
         # z is this solve's own: the sweeps may overwrite it.  The result is a
-        # contiguous copy: the strided view would keep all k N unknowns alive
-        return sweeps(z)[::k].copy()
+        # contiguous copy: the strided view would keep all 2N unknowns alive
+        return sweeps(z)[::2].copy()
 
     return solve
 

@@ -1,10 +1,10 @@
 """Stationary profiles: direct solve and the vanishing-regularization sequence.
 
-The kernel of the generator is one-dimensional, so the steady state is the
-solution of the singular system G psi = 0 pinned by the mass constraint
-sum_i xbar_i psi_i dx_i = mass: one generator row (the tail cell, where the
-profile is numerically zero) is replaced by the mass row, and the system is
-solved by `operators.factor` (banded in O(N) for power-law kernels).
+The kernel of the generator is one-dimensional, so the steady state solves
+G psi = 0 off the tail cell (where the profile is numerically zero) with mass
+sum_i xbar_i psi_i dx_i = mass.  That system is G plus a rank-one change, so
+by Sherman-Morrison psi is the tail response u = G^-1 e_{N-1} scaled to the
+mass, from `operators.factor` (banded in O(N) for power-law kernels).
 
 For rates that are merely bounded below, the steady state is reached as the
 limit of profiles for lifted rates a(x) + x/n.  The sequence converges like
@@ -51,35 +51,41 @@ def solve_steady(bundle: OperatorBundle, normalize_mass: float = 1.0) -> SteadyR
     (coefficients outside the uniqueness hypotheses, or a too-coarse mesh).
     """
     require_mass(normalize_mass)
-    return _steady(bundle, factor(bundle, 0.0, 1.0, pin=True), normalize_mass)
+    return _steady(bundle, factor(bundle, 0.0, 1.0), normalize_mass)
 
 
-def _steady(bundle: OperatorBundle, pinned: Callable, normalize_mass: float) -> SteadyResult:
-    # pinned solves G psi = rhs off the last cell, with the mass rhs[-1] there
-    psi = pinned(np.append(np.zeros(bundle.mesh.n_cells - 1), normalize_mass))
+def _steady(bundle: OperatorBundle, solve: Callable, normalize_mass: float) -> SteadyResult:
+    u = solve(np.append(np.zeros(bundle.mesh.n_cells - 1), 1.0))     # G u = e_{N-1}
+    u_mass = moment_of(bundle.mesh, u, 1.0)
+    if u_mass == 0.0 or not np.isfinite(u_mass):
+        raise NumericsError(f"tail response has mass {u_mass}; no steady profile")
+    psi = u * (normalize_mass / u_mass)
+    if not np.all(np.isfinite(psi)):
+        raise NumericsError("steady profile is not finite")
     peak = float(np.max(np.abs(psi))) or 1.0
     low = float(psi.min())
     if low < -NEGATIVITY_TOL * peak:
         raise PropertyViolation(
             f"steady profile has negative part {low:.3e} (peak {peak:.3e}); "
             "kernel is not numerically one-dimensional")
-    residual = x1_distance_of(bundle.mesh, bundle.apply(psi), 0.0)
-    got_mass = moment_of(bundle.mesh, psi, 1.0)
-    state = State(values=psi, mesh=bundle.mesh, time=float("inf"))
-    return SteadyResult(state=state, residual_x1=residual, mass=got_mass,
-                        min_value=low)
+    return SteadyResult(state=State(values=psi, mesh=bundle.mesh, time=float("inf")),
+                        residual_x1=x1_distance_of(bundle.mesh, bundle.apply(psi), 0.0),
+                        mass=moment_of(bundle.mesh, psi, 1.0), min_value=low)
 
 
 def lift_response(bundle: OperatorBundle, base_steady: np.ndarray,
-                  pinned: Callable) -> np.ndarray:
+                  solve: Callable) -> np.ndarray:
     """First-order steady-state response to the rate lift a -> a + eps * x.
 
-    Solves G chi = -(E psi) with zero mass by `pinned = factor(bundle, 0, 1, pin=True)`,
-    where E is the reaction operator of the pure lift direction (rate x, same kernel).
+    chi solves G chi = -(E psi) off the last row with zero mass, where psi is
+    `base_steady` and E the reaction operator of the pure lift direction (rate
+    x, same kernel): with `solve = factor(bundle, 0, 1)` and m = xbar dx,
+    w = G^-1 (-(E psi)) and chi = w - psi (m . w) / (m . psi).
     """
-    lift = assemble_birth(bundle.mesh, PowerRate(1.0), bundle.kernel)
-    forcing = lift.apply(base_steady) - lift.death * base_steady
-    return pinned(np.append(-forcing[:-1], 0.0))
+    mesh = bundle.mesh
+    lift = assemble_birth(mesh, PowerRate(1.0), bundle.kernel)
+    w = solve(lift.death * base_steady - lift.apply(base_steady))
+    return w - base_steady * (moment_of(mesh, w, 1.0) / moment_of(mesh, base_steady, 1.0))
 
 
 @dataclass(frozen=True)
@@ -124,9 +130,8 @@ def solve_steady_regularized(bundle: OperatorBundle,
     for n in seq:
         rate = RegularizedRate(bundle.rate, n)
         lifted = replace(bundle, rate=rate, birth=assemble_birth(mesh, rate, bundle.kernel))
-        res = solve_steady(lifted)
-        states.append(res.state)
-        residuals.append(x1_distance_of(mesh, bundle.apply(res.state.values), 0.0))
+        states.append(solve_steady(lifted).state)
+        residuals.append(x1_distance_of(mesh, bundle.apply(states[-1].values), 0.0))
     pair_x1 = np.array([x1_distance_of(mesh, a.values, b.values)
                         for a, b in zip(states, states[1:])])
     pair_xm = np.array([weighted_norm_of(mesh, a.values - b.values, PAIRWISE_ORDER)
@@ -139,15 +144,14 @@ def solve_steady_regularized(bundle: OperatorBundle,
             f"(pairwise X1 distances {pair_x1})")
 
     # remove the exact 1/n term, then Richardson on the n^-2 remainder
-    pinned = factor(bundle, 0.0, 1.0, pin=True)
-    chi = lift_response(bundle, _steady(bundle, pinned, 1.0).state.values, pinned)
+    solve = factor(bundle, 0.0, 1.0)
+    chi = lift_response(bundle, _steady(bundle, solve, 1.0).state.values, solve)
     corrected = [st.values - chi / n for st, n in zip(states, seq)]
     richardson = (seq[-1] / seq[-2]) ** 2 - 1.0
     limit_values = corrected[-1] + (corrected[-1] - corrected[-2]) / richardson
     limit_residual = x1_distance_of(mesh, bundle.apply(limit_values), 0.0)
     limit = State(values=limit_values, mesh=mesh, time=float("inf"))
     return RegularizedResult(n_values=seq, states=states, pairwise_x1=pair_x1,
-                             pairwise_xm=pair_xm,
-                             residual_base_x1=np.asarray(residuals),
+                             pairwise_xm=pair_xm, residual_base_x1=np.asarray(residuals),
                              limit=limit, limit_residual_x1=limit_residual,
                              cauchy_ok=cauchy_ok, distance_ratios=ratios)

@@ -6,8 +6,10 @@ from fragdiff import (ConfigError, ConstantRate, CustomKernel, PowerLawKernel,
                       PowerRate, ShiftedPowerRate, State, apply_generator,
                       assemble_birth, assemble_bundle, assemble_diffusion,
                       build_mesh, heat_apply_exact, heat_growth_bound,
-                      image_kernel_value, kernel_value, weighted_norm)
+                      image_kernel_value, kernel_value, solve_steady,
+                      weighted_norm)
 from fragdiff import operators
+from fragdiff.config import build_bundle, preset_config
 from conftest import exact_equilibrium
 
 
@@ -228,48 +230,37 @@ def test_unpinned_factor_matches_dense_solve(rate, grading, right_bc, alpha, bet
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-def _scattered_bands(bundle, alpha, beta, pin):
-    """Reference band array: each entry scattered to ab[2k + row - col, col]."""
+def _scattered_bands(bundle, alpha, beta):
+    """Reference band array: each entry scattered to ab[4 + row - col, col]."""
     tri, birth, mesh = bundle.diffusion, bundle.birth, bundle.mesh
-    k = 3 if pin else 2
-    phi = k * np.arange(mesh.n_cells)
-    s, p = phi + 1, phi + 2
-    ab = np.zeros((3 * k + 1, k * mesh.n_cells), order="F")
+    phi = 2 * np.arange(mesh.n_cells)
+    s = phi + 1
+    ab = np.zeros((7, 2 * mesh.n_cells), order="F")
 
     def put(rows, cols, values):
-        ab[2 * k + rows - cols, cols] = values
+        ab[4 + rows - cols, cols] = values
 
     diag = alpha + beta * (tri.diag - birth.death)
-    lower = beta * tri.lower
-    receiver = beta * birth.receiver
-    if pin:
-        diag[-1] = lower[-1] = receiver[-1] = 0.0
-        put(phi[-1], p[-1], 1.0)
     put(phi, phi, diag)
-    put(phi[1:], phi[:-1], lower)
+    put(phi[1:], phi[:-1], beta * tri.lower)
     put(phi[:-1], phi[1:], beta * tri.upper)
-    put(phi, s, receiver)
+    put(phi, s, beta * birth.receiver)
     unit = float(np.max(np.abs(diag)))
     put(s, s, unit)
     put(s[:-1], s[1:], -unit)
     put(s[:-1], phi[1:], -unit * birth.donor[1:])
-    if pin:
-        put(p, p, unit)
-        put(p[1:], p[:-1], -unit)
-        put(p, phi, -unit * mesh.centers * mesh.widths)
     return ab
 
 
-@pytest.mark.parametrize("pin, alpha, beta", [(False, 1.0, -1e-3), (False, -1.0, 1.0),
-                                              (False, 0.0, 1.0), (True, 0.0, 1.0)])
+@pytest.mark.parametrize("alpha, beta", [(1.0, -1e-3), (-1.0, 1.0), (0.0, 1.0)])
 @pytest.mark.parametrize("rate", [ConstantRate(1.0), PowerRate(1.0)],
                          ids=["mitosis", "linear-rate"])
-def test_band_rows_equal_entrywise_scatter(rate, pin, alpha, beta):
+def test_band_rows_equal_entrywise_scatter(rate, alpha, beta):
     mesh = build_mesh(40.0, 128, "geometric", ratio=1.02)
     bundle = assemble_bundle(mesh, rate, PowerLawKernel(0.0), right_bc="dirichlet")
-    got = operators._interleaved_bands(bundle, alpha, beta, pin)
+    got = operators._interleaved_bands(bundle, alpha, beta)
     assert got.flags.f_contiguous
-    assert np.array_equal(got, _scattered_bands(bundle, alpha, beta, pin))
+    assert np.array_equal(got, _scattered_bands(bundle, alpha, beta))
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, -1e-3), (-1.0, 1.0)])
@@ -284,7 +275,7 @@ def test_pivot_free_factor_solves_by_band_sweeps(monkeypatch, rate, grading, rig
     mesh = build_mesh(40.0, 512, grading, ratio=1.01 if grading == "geometric" else None)
     bundle = assemble_bundle(mesh, rate, PowerLawKernel(0.0), right_bc=right_bc)
     n, lapack = mesh.n_cells, operators.lapack
-    lu, piv, info = lapack.dgbtrf(operators._interleaved_bands(bundle, alpha, beta, False), 2, 2)
+    lu, piv, info = lapack.dgbtrf(operators._interleaved_bands(bundle, alpha, beta), 2, 2)
     assert info == 0 and np.array_equal(piv, np.arange(2 * n))
     rhs = rng.random(n)
     z = np.zeros(2 * n)
@@ -298,10 +289,10 @@ def test_pivot_free_factor_solves_by_band_sweeps(monkeypatch, rate, grading, rig
     assert np.array_equal(operators.factor(bundle, alpha, beta)(rhs), expected)
 
 
-@pytest.mark.parametrize("pin, alpha, beta", [(True, 0.0, 1.0), (False, 0.0, 1.0)])
-def test_pivoting_factor_keeps_dgbtrs(monkeypatch, linear_rate_512, pin, alpha, beta):
-    # the pinned steady solve and zero-shift inverse iteration interchange rows
-    # (whether G alone does depends on the mesh: here it does)
+def test_pivoting_factor_keeps_dgbtrs(monkeypatch, linear_rate_512):
+    # G itself (zero shift) interchanges rows here and on both CLI presets
+    # (whether it does depends on the mesh), so zero-shift inverse iteration
+    # and the steady solves go through dgbtrs
     calls = []
     dgbtrs = operators.lapack.dgbtrs
 
@@ -310,15 +301,19 @@ def test_pivoting_factor_keeps_dgbtrs(monkeypatch, linear_rate_512, pin, alpha, 
         return dgbtrs(*args, **kwargs)
 
     monkeypatch.setattr(operators.lapack, "dgbtrs", spy)
-    n = linear_rate_512.mesh.n_cells
-    operators.factor(linear_rate_512, alpha, beta, pin=pin)(np.ones(n))
-    assert calls == [1]
+    presets = [build_bundle(preset_config(name)) for name in ("mitosis", "linear-rate")]
+    for bundle in [linear_rate_512, *presets]:
+        calls.clear()
+        operators.factor(bundle, 0.0, 1.0)(np.ones(bundle.mesh.n_cells))
+        assert calls == [1]
+        solve_steady(bundle)
+        assert calls == [1, 1]
 
 
-@pytest.mark.parametrize("pin, width", [(False, 2), (True, 3)])
-def test_banded_layout_carries_mass_unknowns_only_when_pinned(monkeypatch, mitosis_512,
-                                                              pin, width):
-    # unpinned: (phi_i, s_i), kl = ku = 2; pinned: (phi_i, s_i, p_i), kl = ku = 3
+@pytest.mark.parametrize("alpha, beta", [(1.0, -1e-3), (-1.0, 1.0), (0.0, 1.0)])
+def test_every_banded_factor_is_2n_wide_with_half_bandwidth_2(monkeypatch, mitosis_512,
+                                                                alpha, beta):
+    # the unknowns are (phi_i, s_i), kl = ku = 2, for every shift, zero included
     calls = []
     dgbtrf = operators.lapack.dgbtrf
 
@@ -327,12 +322,11 @@ def test_banded_layout_carries_mass_unknowns_only_when_pinned(monkeypatch, mitos
         return dgbtrf(ab, kl, ku, *args, **kwargs)
 
     monkeypatch.setattr(operators.lapack, "dgbtrf", spy)
-    operators.factor(mitosis_512, 1.0, -1e-3, pin=pin)
-    assert calls == [(width * mitosis_512.mesh.n_cells, width, width)]
+    operators.factor(mitosis_512, alpha, beta)
+    assert calls == [(2 * mitosis_512.mesh.n_cells, 2, 2)]
 
 
-@pytest.mark.parametrize("pin", [False, True])
-def test_banded_factor_overwrites_its_band_array(monkeypatch, mitosis_512, pin):
+def test_banded_factor_overwrites_its_band_array(monkeypatch, mitosis_512):
     # the band array is built Fortran-ordered for dgbtrf, which factors it in
     # place instead of factoring a copy
     shared = []
@@ -344,7 +338,7 @@ def test_banded_factor_overwrites_its_band_array(monkeypatch, mitosis_512, pin):
         return lu, piv, info
 
     monkeypatch.setattr(operators.lapack, "dgbtrf", spy)
-    operators.factor(mitosis_512, 1.0, -1e-3, pin=pin)
+    operators.factor(mitosis_512, 1.0, -1e-3)
     assert shared == [True]
 
 

@@ -3,14 +3,14 @@ import pytest
 from scipy.linalg import eigvals
 from scipy.special import airy
 
-from fragdiff import (ConstantRate, IntegratorConfig, OperatorBundle,
+from fragdiff import (ConstantRate, IntegratorConfig, NumericsError, OperatorBundle,
                       PowerLawKernel, PowerRate, PropertyViolation, State,
                       Stepper, assemble_birth, assemble_bundle, build_mesh,
-                      dominant_eigenpair, evolve, solve_steady,
+                      dominant_eigenpair, evolve, moment, solve_steady,
                       solve_steady_regularized, spectral_gap,
                       subdominant_spectrum, x1_distance)
 from fragdiff import operators
-from fragdiff.stationary import lift_response
+from fragdiff.stationary import _steady, lift_response
 from conftest import exact_equilibrium
 
 
@@ -82,8 +82,8 @@ def test_structured_solves_match_dense_oracle(rate, nu, grading, right_bc):
     lift = assemble_birth(mesh, PowerRate(1.0), bundle.kernel)
     forcing = -(lift.apply(steady) - lift.death * steady)
     forcing[-1] = 0.0
-    factored = operators.factor(bundle, 0.0, 1.0, pin=True)
-    assert relative_error(lift_response(bundle, steady, factored),
+    solve = operators.factor(bundle, 0.0, 1.0)
+    assert relative_error(lift_response(bundle, steady, solve),
                           np.linalg.solve(pinned, forcing)) <= 1e-10
 
     f = np.exp(-mesh.centers)
@@ -123,6 +123,22 @@ def test_large_mesh_steady_and_gap():
     assert result.min_value >= -1e-10 * values.max()
     assert x1_error_to_equilibrium(result) <= 1e-7
     assert abs(spectral_gap(bundle) - 0.5) <= 1e-6
+
+
+def test_steady_second_moment_at_n_2_18():
+    # M2 of x e^{-x}/2 is 3; the O(h^2) trend from N = 2^16 predicts an
+    # error of about 6e-10 at N = 2^18, so 2e-9 leaves room for roundoff of
+    # that size but not for a steady solve that loses a digit more
+    mesh = build_mesh(40.0, 2 ** 18)
+    result = solve_steady(assemble_bundle(mesh, ConstantRate(1.0), PowerLawKernel(0.0)))
+    assert abs(moment(result.state, 2.0) - 3.0) <= 2e-9
+
+
+@pytest.mark.parametrize("tail", [np.zeros, lambda n: np.full(n, np.nan)],
+                         ids=["zero-mass", "nan"])
+def test_degenerate_tail_response_is_a_numerics_error(mitosis_512, tail):
+    with pytest.raises(NumericsError):
+        _steady(mitosis_512, lambda rhs: tail(rhs.size), 1.0)
 
 
 def test_steady_linear_rate_profile(linear_rate_1024):
