@@ -123,8 +123,7 @@ def _task_regularized(cfg: RunConfig, bundle, out: Path, diag: list) -> None:
             pairwise_x1=result.pairwise_x1, pairwise_xm=result.pairwise_xm,
             distance_ratios=result.distance_ratios,
             residual_base_x1=result.residual_base_x1,
-            limit_residual_x1=result.limit_residual_x1,
-            cauchy_ok=result.cauchy_ok)
+            limit_residual_x1=result.limit_residual_x1)
 
 
 def _task_spectrum(cfg: RunConfig, bundle, out: Path, diag: list) -> None:

@@ -84,7 +84,7 @@ class RateModel:
     def threshold_crossing(self, level: float, x_hi: float) -> float | None:
         """Smallest x with a >= level on [x, x_hi], or None if never reached.
 
-        A coarse scan, then bisection on the continuous model, for every rate.
+        A coarse scan, then bisection on the continuous model to its fixed point.
         """
         grid = np.linspace(0.0, x_hi, 4097)
         vals = np.asarray(self(grid), dtype=float)
@@ -96,8 +96,7 @@ class RateModel:
         if idx.size == 0:
             return 0.0
         lo, hi = grid[idx[-1]], grid[idx[-1] + 1]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
             if float(self(np.array([mid]))[0]) >= level:
                 hi = mid
             else:

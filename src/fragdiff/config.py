@@ -42,8 +42,8 @@ _SCHEMA = {
                "right_bc": (str, "noflux")},
     "coefficients": {"rate": (str, "constant"), "rate_value": (float, 1.0),
                      "rate_gamma": (float, 1.0), "rate_offset": (float, 1.0),
-                     "regularize_n": (int, None), "kernel": (str, "powerlaw"),
-                     "kernel_nu": (float, 0.0), "diffusion": (float, 1.0)},
+                     "regularize_n": (int, None), "kernel_nu": (float, 0.0),
+                     "diffusion": (float, 1.0)},
     "time": {"scheme": (str, "imex_euler"), "dt": (float, None),
              "t_end": (float, 10.0), "output_every": (int, 100),
              "moment_order": (float, 3.0)},
@@ -106,6 +106,13 @@ class RunConfig:
         where = self.source if line is None else f"{self.source}:{line}"
         return ConfigError(f"{where}: [{sec}] {message}")
 
+    def checked(self, build, *args, section: str | None = None):
+        """build(*args), its ConfigError anchored by `error` (to `section` if given)."""
+        try:
+            return build(*args)
+        except ConfigError as exc:
+            raise self.error(str(exc), section) from exc
+
 
 def _parse_sections(text: str, source: str) -> tuple[dict, dict]:
     """Parse [section]/key=value text into typed values and their line numbers."""
@@ -163,23 +170,15 @@ def parse_config_text(text: str, source: str = "<memory>") -> RunConfig:
     if missing:
         raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}")
     cfg = RunConfig(sections=merged, source=source, lines=lines)
-    try:    # the objects of a run: their constructors check every value
-        cfg.bundle = build_bundle(cfg)
-        mesh = cfg.bundle.mesh
-        build_integrator(cfg)
-        _initial_shape(cfg["initial"])
-        build_n_sequence(cfg)
-    except ConfigError as exc:
-        raise cfg.error(str(exc)) from exc
+    # the objects of a run: their constructors check every value
+    cfg.bundle = cfg.checked(build_bundle, cfg)
+    cfg.checked(build_integrator, cfg)
+    cfg.checked(_initial_shape, cfg["initial"])
+    cfg.checked(build_n_sequence, cfg)
     # these messages name a key of another section too ([domain] cells, [initial] mass)
-    try:
-        require_modes(cfg["spectrum"]["k"], mesh.n_cells)
-    except ConfigError as exc:
-        raise cfg.error(str(exc), "spectrum") from exc
-    try:
-        stationary.require_mass(cfg["steady"]["mass"])
-    except ConfigError as exc:
-        raise cfg.error(str(exc), "steady") from exc
+    cfg.checked(require_modes, cfg["spectrum"]["k"], cfg.bundle.mesh.n_cells,
+                section="spectrum")
+    cfg.checked(stationary.require_mass, cfg["steady"]["mass"], section="steady")
     return cfg
 
 
@@ -210,8 +209,6 @@ _RATES = {
     "shifted_power": lambda co: ShiftedPowerRate(co["rate_offset"], co["rate_gamma"]),
 }
 
-_KERNELS = {"powerlaw": lambda co: PowerLawKernel(co["kernel_nu"])}
-
 _SHAPES = {
     "exponential": lambda ini, bundle: np.exp(-bundle.mesh.centers / ini["scale"]),
     "gaussian_bump": lambda ini, bundle: np.exp(
@@ -227,9 +224,8 @@ def build_bundle(cfg: RunConfig) -> OperatorBundle:
     rate = _choose(_RATES, "rate", co["rate"])(co)
     if "regularize_n" in co:
         rate = RegularizedRate(rate, co["regularize_n"])
-    kernel = _choose(_KERNELS, "kernel", co["kernel"])(co)
-    return assemble_bundle(mesh, rate, kernel, right_bc=dom["right_bc"],
-                           diffusion_rate=co["diffusion"])
+    return assemble_bundle(mesh, rate, PowerLawKernel(co["kernel_nu"]),
+                           right_bc=dom["right_bc"], diffusion_rate=co["diffusion"])
 
 
 def build_integrator(cfg: RunConfig) -> IntegratorConfig:

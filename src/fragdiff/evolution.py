@@ -57,16 +57,6 @@ def _check_step(scheme: str, dt: float | None) -> None:
         raise ConfigError(f"dt must be positive and finite, got {dt}")
 
 
-def step_count(t_end: float, dt: float) -> int:
-    """The number of steps of size dt that end at t_end > 0; dt must divide t_end."""
-    if not 0 < t_end < math.inf:
-        raise ConfigError(f"t_end must be positive and finite, got {t_end}")
-    n_steps = round(t_end / dt) if dt > 0 else 0     # a dt <= 0 divides nothing
-    if not abs(n_steps * dt - t_end) <= 1e-9 * t_end:     # so does dt = inf (0 * inf)
-        raise ConfigError(f"t_end = {t_end} is not a multiple of dt = {dt}")
-    return n_steps
-
-
 def positivity_budget(bundle: OperatorBundle, dt: float, scheme: str) -> float:
     """The scheme's positivity budget; warns the caller's caller when it exceeds 1.
     imex_euler keeps nonnegative data nonnegative while dt * max(death) <= 1;
@@ -80,8 +70,7 @@ def positivity_budget(bundle: OperatorBundle, dt: float, scheme: str) -> float:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Time-loop settings.  An explicit dt must divide t_end; without one,
-    evolve() takes the fewest equal steps no longer than default_dt."""
+    """Time-loop settings.  An explicit dt must divide t_end; `grid` gives the steps."""
 
     scheme: str = "imex_euler"
     dt: float | None = None
@@ -91,12 +80,22 @@ class IntegratorConfig:
 
     def __post_init__(self):
         _check_step(self.scheme, self.dt)
-        # t_end is positive and finite, and an explicit dt divides it
-        step_count(self.t_end, self.t_end if self.dt is None else self.dt)
+        if not 0 < self.t_end < math.inf:
+            raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
+        if self.dt is not None and not \
+                abs(round(self.t_end / self.dt) * self.dt - self.t_end) <= 1e-9 * self.t_end:
+            raise ConfigError(f"t_end = {self.t_end} is not a multiple of dt = {self.dt}")
         # evolve stores every output_every-th state: a whole number of steps
         object.__setattr__(self, "output_every",
                            require_count("output_every", self.output_every, 1))
         require_moment_order(self.moment_order)
+
+    def grid(self, bundle: OperatorBundle) -> tuple[float, int]:
+        """(dt, n_steps) to t_end: the explicit dt, or the fewest equal steps <= default_dt."""
+        if self.dt is not None:
+            return self.dt, round(self.t_end / self.dt)
+        n_steps = math.ceil(self.t_end / default_dt(bundle))
+        return self.t_end / n_steps, n_steps
 
 
 def default_dt(bundle: OperatorBundle) -> float:
@@ -202,9 +201,7 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
     require_same_mesh(bundle.mesh, initial, "initial state")
     if reference is not None:
         require_same_mesh(bundle.mesh, reference, "reference state")
-    dt = config.dt if config.dt is not None else \
-        config.t_end / math.ceil(config.t_end / default_dt(bundle))
-    n_steps = step_count(config.t_end, dt)
+    dt, n_steps = config.grid(bundle)
     stepper = Stepper(bundle, dt, config.scheme)
     mesh = bundle.mesh
     orders = (0.0, 1.0, 2.0, float(config.moment_order))

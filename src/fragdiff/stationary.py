@@ -97,8 +97,7 @@ class RegularizedResult:
     residual_base_x1: np.ndarray
     limit: State
     limit_residual_x1: float
-    cauchy_ok: bool
-    distance_ratios: np.ndarray = field(repr=False, default=None)
+    distance_ratios: np.ndarray = field(repr=False)
 
 
 def regularization_indices(n_sequence) -> tuple:
@@ -136,9 +135,7 @@ def solve_steady_regularized(bundle: OperatorBundle,
                         for a, b in zip(states, states[1:])])
     pair_xm = np.array([weighted_norm_of(mesh, a.values - b.values, PAIRWISE_ORDER)
                         for a, b in zip(states, states[1:])])
-    ratios = pair_x1[:-1] / pair_x1[1:]
-    cauchy_ok = bool(np.all(np.diff(pair_x1) < 0.0))
-    if not cauchy_ok:
+    if not np.all(np.diff(pair_x1) < 0.0):
         raise NumericsError(
             "regularized sequence is not contracting; no convergence "
             f"(pairwise X1 distances {pair_x1})")
@@ -154,4 +151,4 @@ def solve_steady_regularized(bundle: OperatorBundle,
     return RegularizedResult(n_values=seq, states=states, pairwise_x1=pair_x1,
                              pairwise_xm=pair_xm, residual_base_x1=np.asarray(residuals),
                              limit=limit, limit_residual_x1=limit_residual,
-                             cauchy_ok=cauchy_ok, distance_ratios=ratios)
+                             distance_ratios=pair_x1[:-1] / pair_x1[1:])

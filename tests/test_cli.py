@@ -64,7 +64,6 @@ rate_value = 2.0    # read by rate = constant only
 rate_offset = 0.5
 rate_gamma = 1.5
 regularize_n = 16
-kernel = powerlaw
 kernel_nu = -0.5
 diffusion = 0.5
 """
@@ -200,6 +199,36 @@ def test_run_deterministic_outputs(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_moments_csv_keeps_the_final_step(tmp_path):
+    # 100 steps with output_every = 30: rows 0, 30, 60, 90, then the final step
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(small_config("evolve").replace("output_every = 20",
+                                                       "output_every = 30"))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "--out", str(out), "--quiet"]) == 0
+    rows = (out / "moments.csv").read_text().splitlines()[1:]
+    times = [float(row.split(",")[0]) for row in rows]
+    assert times == pytest.approx([0.0, 0.06, 0.12, 0.18, 0.2], rel=1e-12)
+
+
+def test_run_steady_regularized_profile_is_the_limit(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[run]\npreset = mitosis\ntask = steady_regularized\n"
+                        "[domain]\ncells = 256\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "--out", str(out), "--quiet"]) == 0
+    [record] = [json.loads(line) for line in
+                (out / "diagnostics.jsonl").read_text().splitlines()]
+    assert sorted(record) == ["distance_ratios", "kind", "limit_residual_x1", "n_values",
+                              "pairwise_x1", "pairwise_xm", "residual_base_x1"]
+    assert record["kind"] == "steady_regularized" and record["n_values"] == [4, 16, 64, 256]
+    rows = (out / "profile.csv").read_text().splitlines()[1:]
+    phi = np.array([float(row.split(",")[1]) for row in rows])
+    cfg = parse_config_text(cfg_file.read_text())
+    limit = fragdiff.solve_steady_regularized(cfg.bundle, (4, 16, 64, 256)).limit
+    assert np.array_equal(phi, limit.values)
+
+
 def test_run_steady_profile(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(small_config("steady"))
@@ -304,7 +333,6 @@ BAD_VALUES = [
     ("coefficients", "", "rate_value = 0"),
     ("coefficients", "rate = shifted_power\n", "rate_offset = -1"),
     ("coefficients", "", "regularize_n = 0"),
-    ("coefficients", "", "kernel = custom"),
     ("coefficients", "", "kernel_nu = 0.5"),
     ("coefficients", "", "diffusion = 0"),
     ("time", "", "scheme = rk4"),
@@ -334,6 +362,29 @@ def test_bad_value_rejected_at_its_line(section, before, bad):
     with pytest.raises(ConfigError) as err:
         parse_config_text(text, source="run.cfg")
     assert str(err.value).startswith(f"run.cfg:{line}: [{section}] ")
+
+
+# (text, line of the error, message): one row per rule of the file's syntax
+MALFORMED = [
+    ("[run]\npreset = mitosis\n[domain]\ncells 64\n", 4, "expected 'key = value'"),
+    ("task = evolve\n[run]\npreset = mitosis\n", 1, "key outside any [section]"),
+    ("[run]\npreset = mitosis\n[domain]\ncells = 64\ncells = 128\n", 5,
+     "duplicate key 'cells'"),
+    ("[run]\npreset = mitosis\n[domain]\ncells = 6.5\n", 4,
+     "key 'cells' expects int, got '6.5'"),
+    ("[run]\ntask = evolve\npreset = fission\n", 3, "[run] unknown preset 'fission'"),
+    # the daughter kernel is always the power law: no [coefficients] kernel key
+    ("[run]\npreset = mitosis\n[coefficients]\nkernel = custom\n", 4,
+     "unknown key 'kernel' in [coefficients]"),
+]
+
+
+@pytest.mark.parametrize("text,line,message", MALFORMED,
+                         ids=[text.splitlines()[line - 1] for text, line, _ in MALFORMED])
+def test_malformed_line_rejected_at_its_line(text, line, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text, source="run.cfg")
+    assert str(err.value).startswith(f"run.cfg:{line}: {message}")
 
 
 def test_negative_steady_mass_exits_2_at_its_line(tmp_path, capsys):

@@ -194,6 +194,22 @@ def test_moment_ceiling_linear_rate():
         assert ceiling.mu == pytest.approx(mu, abs=1e-8)
 
 
+@pytest.mark.parametrize("rate,x_star,halvings", [
+    (PowerRate(2.0), 1.0, 46),
+    (RegularizedRate(PowerRate(1.0), 4), 0.8, 47),
+], ids=["x^2", "x+x/4"])
+def test_threshold_bisection_stops_when_the_midpoint_is_an_end(monkeypatch, rate, x_star,
+                                                                halvings):
+    # one scan of the grid, then one evaluation per halving; the crossing is
+    # the float a fixed 200-step bisection returns, bit for bit
+    calls = []
+    evaluate = type(rate).__call__
+    monkeypatch.setattr(type(rate), "__call__",
+                        lambda self, x: calls.append(np.size(x)) or evaluate(self, x))
+    assert rate.threshold_crossing(1.0, 40.0) == x_star
+    assert calls == [4097] + [1] * halvings
+
+
 def test_moment_ceiling_threshold_examples():
     assert PowerRate(2.0).threshold_crossing(1.0, 40.0) == pytest.approx(1.0, abs=1e-10)
     # x + x/4 reaches 1 at 0.8 (numeric fallback)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fragdiff import (ConfigError, State, build_mesh, mass, moment,
+from fragdiff import (ConfigError, Mesh, State, build_mesh, mass, moment,
                       tail_mass_fraction, weighted_norm, x1_distance)
 
 
@@ -43,6 +43,18 @@ def test_geometric_first_width_matches_series():
 def test_build_mesh_rejects_bad_input(bad):
     with pytest.raises(ConfigError):
         build_mesh(**bad)
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([0.0], "at least two edges"),
+    ([[0.0, 1.0], [1.0, 2.0]], "at least two edges"),
+    ([0.5, 1.0, 2.0], "first edge must be exactly 0"),
+    ([0.0, 1.0, 1.0], "strictly increasing"),
+    ([0.0, 2.0, 1.0], "strictly increasing"),
+])
+def test_mesh_rejects_bad_edges(edges, message):
+    with pytest.raises(ConfigError, match=message):
+        Mesh(edges=edges)
 
 
 def test_largest_geometric_mesh_below_overflow_builds():

@@ -201,7 +201,6 @@ def test_steady_moment_bound(linear_rate_1024):
 
 def test_regularized_sequence_mitosis(mitosis_2048):
     result = solve_steady_regularized(mitosis_2048, (4, 16, 64, 256))
-    assert result.cauchy_ok
     assert np.all(np.diff(result.pairwise_x1) < 0)
     # residual under the base operator decays like 1/n within a factor 2
     scaled = result.residual_base_x1 * np.asarray(result.n_values)
@@ -238,7 +237,8 @@ def test_regularized_factors_the_base_system_once(monkeypatch, mitosis_512):
         return dgbtrf(*args, **kwargs)
 
     monkeypatch.setattr(operators.lapack, "dgbtrf", spy)
-    assert solve_steady_regularized(mitosis_512, (4, 16, 64, 256)).cauchy_ok
+    result = solve_steady_regularized(mitosis_512, (4, 16, 64, 256))
+    assert np.all(np.diff(result.pairwise_x1) < 0)
     assert len(calls) == 5
 
 
@@ -249,3 +249,11 @@ def test_regularized_rejects_vanishing_tail_rate():
     bundle = assemble_bundle(mesh, dying, PowerLawKernel(0.0))
     with pytest.raises(PropertyViolation):
         solve_steady_regularized(bundle, (4, 16))
+
+
+def test_regularized_rejects_a_sequence_that_does_not_contract(monkeypatch, mitosis_512):
+    # every lift gives the same profile: the pairwise distances stay at 0
+    same = solve_steady(mitosis_512)
+    monkeypatch.setattr("fragdiff.stationary.solve_steady", lambda bundle: same)
+    with pytest.raises(NumericsError, match="not contracting"):
+        solve_steady_regularized(mitosis_512, (4, 16, 64))
