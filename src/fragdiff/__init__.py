@@ -16,8 +16,7 @@ from .coefficients import (ConstantRate, CustomKernel, DaughterKernel,
                            PowerRate, RateModel, RegularizedRate,
                            ShiftedPowerRate, TableRate, delta_m,
                            moment_ceiling, verify_mass_condition)
-from .errors import (ConfigError, NotApplicableError, NumericsError,
-                     PropertyViolation)
+from .errors import ConfigError, NumericsError, PropertyViolation
 from .evolution import IntegratorConfig, Stepper, Trajectory, default_dt, evolve
 from .mesh import (Mesh, State, build_mesh, mass, moment, tail_mass_fraction,
                    weighted_norm, x1_distance)
@@ -45,5 +44,5 @@ __all__ = [
     "solve_steady_regularized",
     "dominant_eigenpair", "subdominant_spectrum", "spectral_gap", "decay_rate",
     "DecayFit",
-    "ConfigError", "NumericsError", "PropertyViolation", "NotApplicableError",
+    "ConfigError", "NumericsError", "PropertyViolation",
 ]

@@ -36,36 +36,15 @@ from .spectral import decay_rate, dominant_eigenpair, spectral_gap
 from .stationary import solve_steady, solve_steady_regularized
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _write_csv(path: Path, header: str, columns) -> None:
+    """Write the header, then each row of the columns as repr(float) values."""
+    # value by value: a list per row or per column costs collector runs or memory
+    fields = (map(repr, map(float, column)) for column in columns)
+    path.write_text("\n".join([header, *map(",".join, zip(*fields))]) + "\n")
 
 
-def _write_moments_csv(path: Path, trajectory, every: int, order: float) -> None:
-    lines = ["t,M0,M1,M2,Mm,dist_ref_X1,mass_drift_rel,tail_mass_frac"]
-    n = trajectory.times.size
-    rows = list(range(0, n, every))
-    if rows[-1] != n - 1:
-        rows.append(n - 1)
-    for k in rows:
-        dist = trajectory.dist_ref[k] if trajectory.dist_ref is not None else float("nan")
-        lines.append(",".join([
-            _fmt(trajectory.times[k]),
-            _fmt(trajectory.moments[0.0][k]),
-            _fmt(trajectory.moments[1.0][k]),
-            _fmt(trajectory.moments[2.0][k]),
-            _fmt(trajectory.moments[order][k]),
-            _fmt(dist),
-            _fmt(trajectory.mass_drift_rel[k]),
-            _fmt(trajectory.tail_fraction[k]),
-        ]))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_profile_csv(path: Path, state: State) -> None:
-    lines = ["x,phi"]
-    for x, phi in zip(state.mesh.centers, state.values):
-        lines.append(f"{_fmt(x)},{_fmt(phi)}")
-    path.write_text("\n".join(lines) + "\n")
+def _write_profile(out: Path, state: State) -> None:
+    _write_csv(out / "profile.csv", "x,phi", [state.mesh.centers, state.values])
 
 
 def _record(diag: list, kind: str, **payload) -> None:
@@ -95,10 +74,16 @@ def _task_evolve(cfg: RunConfig, bundle, out: Path, diag: list) -> None:
         _record(diag, "reference", available=False)
     integrator = build_integrator(cfg)
     trajectory = evolve(bundle, initial, integrator, reference=reference)
-    _write_moments_csv(out / "moments.csv", trajectory, integrator.output_every,
-                       integrator.moment_order)
-    _write_profile_csv(out / "profile.csv", trajectory.final)
-    _record(diag, "evolve", steps=int(trajectory.times.size - 1),
+    n = trajectory.times.size
+    rows = [*range(0, n - 1, integrator.output_every), n - 1]   # the final step too
+    dist = np.full(n, np.nan) if trajectory.dist_ref is None else trajectory.dist_ref
+    columns = [trajectory.times,
+               *(trajectory.moments[m] for m in (0.0, 1.0, 2.0, integrator.moment_order)),
+               dist, trajectory.mass_drift_rel, trajectory.tail_fraction]
+    _write_csv(out / "moments.csv", "t,M0,M1,M2,Mm,dist_ref_X1,mass_drift_rel,tail_mass_frac",
+               [column[rows] for column in columns])
+    _write_profile(out, trajectory.final)
+    _record(diag, "evolve", steps=n - 1,
             max_mass_drift=trajectory.max_drift,
             min_value=trajectory.min_value,
             reaction_cfl=trajectory.reaction_cfl,
@@ -111,14 +96,14 @@ def _task_evolve(cfg: RunConfig, bundle, out: Path, diag: list) -> None:
 
 def _task_steady(cfg: RunConfig, bundle, out: Path, diag: list) -> None:
     result = solve_steady(bundle, normalize_mass=cfg["steady"]["mass"])
-    _write_profile_csv(out / "profile.csv", result.state)
+    _write_profile(out, result.state)
     _record(diag, "steady", residual_x1=result.residual_x1, mass=result.mass,
             min_value=result.min_value)
 
 
 def _task_regularized(cfg: RunConfig, bundle, out: Path, diag: list) -> None:
     result = solve_steady_regularized(bundle, build_n_sequence(cfg))
-    _write_profile_csv(out / "profile.csv", result.limit)
+    _write_profile(out, result.limit)
     _record(diag, "steady_regularized", n_values=list(result.n_values),
             pairwise_x1=result.pairwise_x1, pairwise_xm=result.pairwise_xm,
             distance_ratios=result.distance_ratios,
@@ -129,7 +114,7 @@ def _task_regularized(cfg: RunConfig, bundle, out: Path, diag: list) -> None:
 def _task_spectrum(cfg: RunConfig, bundle, out: Path, diag: list) -> None:
     gap = spectral_gap(bundle, k=cfg["spectrum"]["k"])
     lam, psi = dominant_eigenpair(bundle)
-    _write_profile_csv(out / "profile.csv", psi)
+    _write_profile(out, psi)
     _record(diag, "spectrum", lambda0=lam, gap=gap, k=cfg["spectrum"]["k"])
 
 

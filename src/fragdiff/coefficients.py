@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, NotApplicableError, PropertyViolation
+from .errors import ConfigError, PropertyViolation
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(64)
 # the same rule on (0, 1): nodes u_k, and the weights w_k u_k / 2 of int_0^1 u g(u) du
@@ -370,11 +370,10 @@ def moment_ceiling(rate: RateModel, kernel: DaughterKernel, m: float,
     if not m >= 3.0:
         raise ConfigError(f"moment ceiling needs m >= 3, got {m}")
     if not rate_diverges(rate, x_max_probe):
-        raise NotApplicableError(
+        raise PropertyViolation(
             "rate does not stay above 1 on the probe tail; no moment ceiling")
+    # a(x_max_probe) >= 1 here, so the crossing exists
     x_star = rate.threshold_crossing(DIVERGENCE_LEVEL, x_max_probe)
-    if x_star is None:
-        raise NotApplicableError("rate never reaches 1 within the probe range")
     delta = delta_m(kernel, m)
     power_term = 2.0 * m * (2.0 * m * (m - 3.0) / delta) ** ((m - 3.0) / 2.0)
     mu = (2.0 / delta) * (power_term + delta * x_star ** (m - 1.0))

@@ -6,14 +6,15 @@ their line.  A `preset` key in [run] starts from a named scenario; any
 key given explicitly afterwards overrides the preset value.
 
 Every value is checked at parse time, by building the objects a run uses
-(its bundle through `build_bundle`, integrator, initial shape, n-sequence,
-eigenvalue count and steady mass): the constructor that consumes a value
-states its rule.  The bundle is kept as `RunConfig.bundle`, outside the
-config echo.  Errors read `<file>:<line>: [section] <message>`, at the
+(its bundle through `build_bundle`, integrator and step grid, initial shape,
+n-sequence, eigenvalue count and steady mass): the constructor that consumes
+a value states its rule.  The bundle is kept as `RunConfig.bundle`, outside
+the config echo.  Errors read `<file>:<line>: [section] <message>`, at the
 offending key, or at its section header when a preset or default gave it.
-Numbers must be finite, and an explicit dt must divide t_end.  `_SCHEMA`
-gives each key's type and default; `[run] task`, `[domain] x_max` and
-`[domain] cells` are required.  The CLI checks the task name.
+Numbers must be finite, an explicit dt must divide t_end, and t_end / dt
+must be a finite step count.  `_SCHEMA` gives each key's type and default;
+`[run] task`, `[domain] x_max` and `[domain] cells` are required.  The CLI
+checks the task name.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def parse_config_text(text: str, source: str = "<memory>") -> RunConfig:
     cfg = RunConfig(sections=merged, source=source, lines=lines)
     # the objects of a run: their constructors check every value
     cfg.bundle = cfg.checked(build_bundle, cfg)
-    cfg.checked(build_integrator, cfg)
+    cfg.checked(lambda: build_integrator(cfg).grid(cfg.bundle))
     cfg.checked(_initial_shape, cfg["initial"])
     cfg.checked(build_n_sequence, cfg)
     # these messages name a key of another section too ([domain] cells, [initial] mass)

@@ -14,8 +14,5 @@ class NumericsError(RuntimeError):
 
 
 class PropertyViolation(RuntimeError):
-    """A structural property the model guarantees was violated numerically."""
-
-
-class NotApplicableError(RuntimeError):
-    """Requested quantity is undefined for the given coefficients."""
+    """A structural property the model guarantees was violated numerically, or
+    the coefficients miss a hypothesis the requested quantity rests on."""

@@ -70,7 +70,7 @@ def positivity_budget(bundle: OperatorBundle, dt: float, scheme: str) -> float:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Time-loop settings.  An explicit dt must divide t_end; `grid` gives the steps."""
+    """Time-loop settings.  `grid` gives the steps and states their rules."""
 
     scheme: str = "imex_euler"
     dt: float | None = None
@@ -82,20 +82,26 @@ class IntegratorConfig:
         _check_step(self.scheme, self.dt)
         if not 0 < self.t_end < math.inf:
             raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
-        if self.dt is not None and not \
-                abs(round(self.t_end / self.dt) * self.dt - self.t_end) <= 1e-9 * self.t_end:
-            raise ConfigError(f"t_end = {self.t_end} is not a multiple of dt = {self.dt}")
+        if self.dt is not None:
+            self.grid(None)     # an explicit dt's rules need no bundle
         # evolve stores every output_every-th state: a whole number of steps
         object.__setattr__(self, "output_every",
                            require_count("output_every", self.output_every, 1))
         require_moment_order(self.moment_order)
 
-    def grid(self, bundle: OperatorBundle) -> tuple[float, int]:
+    def grid(self, bundle: OperatorBundle | None) -> tuple[float, int]:
         """(dt, n_steps) to t_end: the explicit dt, or the fewest equal steps <= default_dt."""
-        if self.dt is not None:
-            return self.dt, round(self.t_end / self.dt)
-        n_steps = math.ceil(self.t_end / default_dt(bundle))
-        return self.t_end / n_steps, n_steps
+        dt = default_dt(bundle) if self.dt is None else self.dt
+        ratio = self.t_end / dt
+        if not 0 < ratio < math.inf:
+            raise ConfigError(f"t_end / dt = {self.t_end} / {dt} overflows or underflows")
+        if self.dt is None:
+            n_steps = math.ceil(ratio)
+            return self.t_end / n_steps, n_steps
+        n_steps = round(ratio)
+        if not abs(n_steps * dt - self.t_end) <= 1e-9 * self.t_end:
+            raise ConfigError(f"t_end = {self.t_end} is not a multiple of dt = {dt}")
+        return dt, n_steps
 
 
 def default_dt(bundle: OperatorBundle) -> float:
@@ -220,7 +226,13 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
     block = np.empty((min(RECORD_BLOCK, n_steps), mesh.n_cells))
     buffer = np.empty_like(block)
 
-    def record(start: int, rows: np.ndarray, signed: bool):
+    values, every, stored = initial.values, config.output_every, []
+    # fill() keeps nonnegative data nonnegative: only a signed initial state
+    # can lead to signed states, so it decides the recording path of the run
+    min_seen = float(values.min(initial=0.0))
+    signed = min_seen < 0.0
+
+    def record(start: int, rows: np.ndarray):
         """Fill every series from step `start` on with the states in rows."""
         stop, work = start + len(rows), buffer[:len(rows)]
         for i, row in enumerate(weights):
@@ -234,19 +246,14 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
             np.abs(np.subtract(rows, reference.values, out=work), out=work)
             np.vecdot(work, mass_row, out=dist[start:stop])
 
-    values, every, stored = initial.values, config.output_every, []
     block[0] = values
-    low = min_seen = float(values.min(initial=0.0))
-    record(0, block[:1], low < 0.0)
+    record(0, block[:1])
     for start in range(1, n_steps + 1, RECORD_BLOCK):
         rows = block[:min(RECORD_BLOCK, n_steps + 1 - start)]
-        # states turn nonnegative at most once: the state before a block tells
-        signed = low < 0.0      # whether any of the block's states is signed
         values = stepper.fill(rows, values)
-        if signed:      # fill() keeps nonnegative data nonnegative
+        if signed:
             min_seen = min(min_seen, float(rows.min(initial=0.0)))
-            low = float(values.min(initial=0.0))
-        record(start, rows, signed)
+        record(start, rows)
         for i in range(-start % every, len(rows), every):     # steps k = start + i
             stored.append(State._checked(rows[i].copy(), mesh, float(times[start + i])))
     if n_steps % every:     # the final state is kept too

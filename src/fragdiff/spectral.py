@@ -124,8 +124,8 @@ def decay_rate(trajectory: Trajectory, reference: State) -> DecayFit:
     trajectory evolved with this reference attached.
     """
     if trajectory.dist_ref is None:
-        raise NumericsError("trajectory carries no reference distances; "
-                            "evolve(..., reference=...) first")
+        raise ConfigError("trajectory carries no reference distances; "
+                          "evolve(..., reference=...) first")
     t = trajectory.times
     d = trajectory.dist_ref
     d0 = float(d[0])

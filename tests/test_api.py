@@ -1,5 +1,9 @@
 """The package's public names resolve once each, and its rules reject NaN and inf."""
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,16 @@ from fragdiff.mesh import moment_of, norm_row
 def test_every_public_name_resolves():
     missing = [name for name in fragdiff.__all__ if not hasattr(fragdiff, name)]
     assert missing == []
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # syntax newer than requires-python (except*, say) fails here on any interpreter
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()
+    assert floor == ("3", "10")
+    for path in sorted(Path(fragdiff.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path),
+                  feature_version=tuple(int(part) for part in floor))
 
 
 def test_no_public_name_is_listed_twice():

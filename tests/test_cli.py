@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import fragdiff
-from fragdiff import ConfigError
-from fragdiff.cli import main
+from fragdiff import ConfigError, NumericsError
+from fragdiff.cli import _TASKS, _write_csv, main
 from fragdiff.config import (build_bundle, build_initial, parse_config_text,
                              preset_config)
 
@@ -262,6 +262,49 @@ def test_exit_code_config_error(tmp_path):
     assert main(["--quiet"]) == 2      # neither config nor preset
 
 
+def test_every_package_error_has_its_exit_code(tmp_path, monkeypatch, capsys):
+    # each error class the package exports leaves main() as an exit code
+    errors = [name for name in fragdiff.__all__ if isinstance(getattr(fragdiff, name), type)
+              and issubclass(getattr(fragdiff, name), Exception)]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(small_config("steady"))
+    codes, messages = {}, {}
+    for name in errors:
+        def fail(*args, error=getattr(fragdiff, name)):
+            raise error("raised by the task")
+        monkeypatch.setitem(_TASKS, "steady", fail)
+        codes[name] = main(["--config", str(cfg_file), "--out", str(tmp_path / name),
+                            "--quiet"])
+        messages[name] = capsys.readouterr().err
+    assert codes == {"ConfigError": 2, "NumericsError": 3, "PropertyViolation": 4}
+    assert messages == {"ConfigError": "config error: raised by the task\n",
+                        "NumericsError": "numerical failure: raised by the task\n",
+                        "PropertyViolation": "property violation: raised by the task\n"}
+
+
+def test_csv_writer_pins_its_text(tmp_path):
+    path = tmp_path / "run.csv"
+    _write_csv(path, "a,b", [np.array([0.1, 1e-300]), np.array([-0.0, np.nan])])
+    assert path.read_text() == "a,b\n0.1,-0.0\n1e-300,nan\n"
+
+
+def test_evolve_without_a_steady_reference_still_runs(tmp_path, monkeypatch):
+    def singular(*args, **kwargs):
+        raise NumericsError("generator system is singular")
+
+    monkeypatch.setattr("fragdiff.cli.solve_steady", singular)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(small_config("evolve"))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "--out", str(out), "--quiet"]) == 0
+    records = [json.loads(line) for line in
+               (out / "diagnostics.jsonl").read_text().splitlines()]
+    assert records[0] == {"kind": "reference", "available": False}
+    assert [rec["kind"] for rec in records] == ["reference", "evolve"]     # no decay_fit
+    rows = (out / "moments.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[5] for row in rows} == {"nan"}
+
+
 def test_exit_code_property_violation(tmp_path):
     # reckless step size on a growing rate: the explicit reaction breaks
     # positivity, the run aborts with the property-violation code
@@ -453,6 +496,20 @@ def test_overflowing_geometric_mesh_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {cfg_file}:") and "Traceback" not in err
     assert "ratio = 1.2 and n_cells = 5000" in err
+
+
+@pytest.mark.parametrize("text,line", [
+    ("[run]\npreset = mitosis\n[time]\ndt = 1e-300\nt_end = 1e10\n", 5),
+    ("[run]\ntask = evolve\n[domain]\nx_max = 40\ncells = 64\n[time]\nt_end = 1e308\n", 7),
+], ids=["explicit-dt", "default-dt"])
+def test_overflowing_step_count_exits_2_at_t_end(tmp_path, capsys, text, line):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg_file}:{line}: [time] t_end / dt = ")
+    assert not out.exists()
 
 
 def _run_with_src(*args):

@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from fragdiff import (ConfigError, ConstantRate, CustomKernel,
-                      NotApplicableError, PowerLawKernel, PowerRate,
+                      PowerLawKernel, PowerRate,
                       PropertyViolation, RegularizedRate, ShiftedPowerRate,
                       TableRate, delta_m, moment_ceiling,
                       verify_mass_condition)
@@ -215,7 +215,7 @@ def test_moment_ceiling_threshold_examples():
     # x + x/4 reaches 1 at 0.8 (numeric fallback)
     assert RegularizedRate(PowerRate(1.0), 4).threshold_crossing(1.0, 40.0) == \
         pytest.approx(0.8, abs=1e-10)
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(PropertyViolation):
         moment_ceiling(ConstantRate(0.5), PowerLawKernel(0.0), 3.0, 40.0)
 
 

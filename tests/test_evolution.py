@@ -172,6 +172,18 @@ def test_step_rejects_non_finite_values(mitosis_512, bad, signed):
         stepper.step(values)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_dense_fill_rejects_a_non_finite_block(binary_custom, bad):
+    # with M >= 0 the block is filled by bare products and checked once
+    stepper = Stepper(binary_custom, 1e-3)
+    assert stepper._positive is not None
+    values = unit_mass_exponential(binary_custom.mesh).values
+    values[5] = bad
+    rows = np.empty((RECORD_BLOCK, binary_custom.mesh.n_cells))
+    with pytest.raises(NumericsError, match="non-finite"):
+        stepper.fill(rows, values)
+
+
 def test_positivity_warning_on_large_dt(linear_rate_512):
     with pytest.warns(UserWarning, match="positivity"):
         Stepper(linear_rate_512, dt=0.1, scheme="imex_euler")
@@ -472,6 +484,19 @@ def test_t_end_must_be_a_multiple_of_dt():
     for t_end in (0.0, np.inf):
         with pytest.raises(ConfigError, match="t_end must be positive and finite"):
             IntegratorConfig(t_end=t_end)
+
+
+def test_step_counts_that_overflow_are_rejected(mitosis_512):
+    # t_end / dt overflows to inf, or underflows to 0: no step count, for an
+    # explicit dt or the default one
+    with pytest.raises(ConfigError, match="t_end / dt = 10000000000.0 / 1e-300 overflows"):
+        IntegratorConfig(dt=1e-300, t_end=1e10)
+    with pytest.raises(ConfigError, match="t_end / dt = 1e\\+308 / .* overflows"):
+        IntegratorConfig(t_end=1e308).grid(mitosis_512)
+    slow = assemble_bundle(build_mesh(1000.0, 8), ConstantRate(0.1), PowerLawKernel(0.0))
+    assert default_dt(slow) > 2.0       # so that 5e-324 / dt rounds to 0
+    with pytest.raises(ConfigError, match="t_end / dt = 5e-324 / .* underflows"):
+        IntegratorConfig(t_end=5e-324).grid(slow)
 
 
 def test_infinite_dt_is_rejected():

@@ -138,6 +138,13 @@ def test_decay_rate_not_applicable_at_equilibrium(linear_rate_512):
     assert fit.status in ("not_applicable", "no_decay")
 
 
+def test_decay_rate_needs_a_run_with_the_reference(linear_rate_512):
+    steady = solve_steady(linear_rate_512).state
+    trajectory = evolve(linear_rate_512, steady, IntegratorConfig(dt=0.01, t_end=0.1))
+    with pytest.raises(ConfigError, match="no reference distances"):
+        decay_rate(trajectory, steady)
+
+
 def test_limit_depends_on_initial_mass_only(linear_rate_512):
     # two different shapes with the same mass end at the same profile
     mesh = linear_rate_512.mesh
