@@ -12,9 +12,9 @@ a value states its rule.  The bundle is kept as `RunConfig.bundle`, outside
 the config echo.  Errors read `<file>:<line>: [section] <message>`, at the
 offending key, or at its section header when a preset or default gave it.
 Numbers must be finite, an explicit dt must divide t_end, and t_end / dt
-must be a finite step count.  `_SCHEMA` gives each key's type and default;
-`[run] task`, `[domain] x_max` and `[domain] cells` are required.  The CLI
-checks the task name.
+must be a step count whose series fit in memory.  `_SCHEMA` gives each key's
+type and default; `[run] task`, `[domain] x_max` and `[domain] cells` are
+required.  The CLI checks the task name.
 """
 
 from __future__ import annotations

@@ -11,28 +11,28 @@ the truncation boundary.  Schemes:
 A `Stepper` factors its system once: imex_euler's diffusion system through
 `Tridiagonal.factor`, fully_implicit's whole generator through `factor`.
 The imex_euler solve takes right-hand sides weighted by the symmetriser w,
-and its reaction rows are scaled by w once, so that one reaction apply forms
-its right-hand side dt w B v + w (1 - dt d) v.  For a power-law kernel each
-step is that apply and one `pttrs`; a custom kernel's gain is a dense matrix,
-so its step is too: the stepper applies the step to the identity once, and
-each step is one product with that matrix M.  `Stepper.step` maps cell
-values to cell values.  `evolve` fills blocks of RECORD_BLOCK states by
-`Stepper.fill`: step by step, or, when M >= 0 entrywise (a positive
-semigroup, as while dt max(death) <= 1), by a bare product with M per
-state, written into its row and checked once per block.  It
-takes every recorded reduction of a block as one `np.vecdot` with a weight
-row built once per run, the same BLAS dot as the public reduction's, so
-the records equal the reductions bit for bit.
+dt w B v + keep v with keep = w (1 - dt d).  For a power-law kernel each step
+forms that in place and runs one `pttrs`; a custom kernel's gain is a dense
+matrix, so its step is too: the stepper applies the step to the identity
+once, and each step is one product with that matrix M.
 
-imex_euler preserves nonnegativity when dt * max(death) <= 1 (the right-hand
-side stays nonnegative and the diffusion system is an M-matrix); the default
-step size keeps a factor-2 margin.  `positivity_budget` states that bound;
-fully_implicit is unconditionally positivity preserving.
+imex_euler preserves nonnegativity while its positivity budget dt * max(death)
+is <= 1 (the default dt keeps a factor-2 margin); fully_implicit does for
+every dt.  With keep >= 0 there, or M >= 0, the step keeps sign exactly
+(`Stepper.keeps_sign`): its right-hand side is sums and products of
+nonnegative numbers, and `pttrs` only adds and divides such numbers, as the
+factor L D L^T has D > 0 and, from the off-diagonals -dt w upper, L <= 0 off
+its diagonal; rounding is monotone.  Then `Stepper.fill` writes each state of
+a block of RECORD_BLOCK straight into its row and checks the block once, else
+it takes `Stepper.step` per state.  `evolve` takes every recorded reduction
+of a block as one `np.vecdot` with a weight row built once per run, the same
+BLAS dot as the public reduction's, so the records equal them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -48,6 +48,7 @@ from .operators import OperatorBundle, factor
 SCHEMES = ("imex_euler", "fully_implicit")
 POSITIVITY_FLOOR = -1e-13
 RECORD_BLOCK = 16   # states per recording block: 256 KB at N = 2048
+SERIES = 8  # float64 series evolve keeps per step: t, 4 moments, drift, tail, X1 distance
 
 
 def _check_step(scheme: str, dt: float | None) -> None:
@@ -58,9 +59,7 @@ def _check_step(scheme: str, dt: float | None) -> None:
 
 
 def positivity_budget(bundle: OperatorBundle, dt: float, scheme: str) -> float:
-    """The scheme's positivity budget; warns the caller's caller when it exceeds 1.
-    imex_euler keeps nonnegative data nonnegative while dt * max(death) <= 1;
-    fully_implicit does for every dt, so its budget is 0."""
+    """dt * max(death) for imex_euler, 0 for fully_implicit; warns the caller's caller above 1."""
     budget = dt * float(np.max(bundle.death)) if scheme == "imex_euler" else 0.0
     if budget > 1.0:
         warnings.warn(f"positivity budget {budget:.2f} > 1: the explicit part of the "
@@ -95,13 +94,14 @@ class IntegratorConfig:
         ratio = self.t_end / dt
         if not 0 < ratio < math.inf:
             raise ConfigError(f"t_end / dt = {self.t_end} / {dt} overflows or underflows")
-        if self.dt is None:
-            n_steps = math.ceil(ratio)
-            return self.t_end / n_steps, n_steps
-        n_steps = round(ratio)
-        if not abs(n_steps * dt - self.t_end) <= 1e-9 * self.t_end:
+        n_steps = math.ceil(ratio) if self.dt is None else round(ratio)
+        if self.dt is not None and not abs(n_steps * dt - self.t_end) <= 1e-9 * self.t_end:
             raise ConfigError(f"t_end = {self.t_end} is not a multiple of dt = {dt}")
-        return dt, n_steps
+        need = 8 * SERIES * (n_steps + 1)     # bytes, before any is allocated
+        if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise ConfigError(f"t_end / dt = {self.t_end} / {dt} takes {n_steps} steps, whose "
+                              f"series need {need} bytes: more than the physical memory")
+        return self.dt or self.t_end / n_steps, n_steps
 
 
 def default_dt(bundle: OperatorBundle) -> float:
@@ -121,31 +121,42 @@ class Stepper:
         _check_step(scheme, dt)
         self.reaction_cfl = dt * float(np.max(bundle.death))
         self.positivity_budget = positivity_budget(bundle, dt, scheme)
-        self._positive = None   # a dense step matrix M with no negative entry
+        self.keeps_sign = False
         if scheme == "fully_implicit":
-            self._map = factor(bundle, 1.0, -dt)
+            solve = factor(bundle, 1.0, -dt)
+            self._map = lambda values, out: solve(values) if out is None else \
+                np.copyto(out, solve(values)) or out
             return
-        # imex_euler's diffusion solve takes right-hand sides weighted by the
-        # symmetriser w and overwrites them
+        # imex_euler's diffusion solve overwrites right-hand sides weighted by the
+        # symmetriser w, here w (v + dt (B v - d v)) = dt w B v + keep v
         solve = bundle.diffusion.factor(-dt)
-        # its right-hand side w (v + dt (B v - d v)) is the reaction of a
-        # scaled copy: gain rows times dt w, "death" -w (1 - dt d)
-        w = bundle.diffusion.symmetriser
+        w, birth = bundle.diffusion.symmetriser, bundle.birth
         keep = w * (1.0 - dt * bundle.death)
-        explicit = replace(bundle, birth=bundle.birth.scaled(dt * w, -keep))
-        if bundle.birth.separable:
-            self._map = lambda values: solve(explicit.apply_reaction(values))
+        if birth.separable:
+            gain, donor, suffix = dt * w * birth.receiver, birth.donor[1:], np.zeros(len(w))
+
+            def imex(values, out):
+                # apply_reaction's roundings (x - (-k v) == x + k v, and + commutes)
+                # and the solve, in out and suffix: keep v + gain s, s_i = sum_(j>i) donor_j v_j
+                out = np.multiply(keep, values, out=out)
+                np.multiply(donor, values[1:], out=suffix[:-1])     # suffix[-1] stays 0
+                np.add.accumulate(suffix[-2::-1], out=suffix[-2::-1])
+                out += np.multiply(gain, suffix, out=suffix)
+                return solve(out)
+
+            self._map, self.keeps_sign = imex, bool(keep.min() >= 0.0)
         else:
             # a dense gain makes the step dense anyway: one matrix, the step
-            # applied to the identity (death * I is diag(death) there); it is
-            # entrywise nonnegative while the budget is <= 1
+            # applied to the identity (death * I is diag(death) there), as the
+            # reaction of a copy with gain rows times dt w and "death" -keep
+            explicit = replace(bundle, birth=birth.scaled(dt * w, -keep))
             matrix = solve(explicit.apply_reaction(np.eye(len(w))))
-            self._map = matrix.__matmul__
-            if matrix.min() >= 0.0:     # then M v >= 0 exactly for every v >= 0
-                self._positive = matrix
+            self._map = lambda values, out: np.matmul(matrix, values, out=out)
+            self.keeps_sign = bool(matrix.min() >= 0.0)
 
-    def advance(self, values: np.ndarray) -> np.ndarray:
-        return self._map(values)
+    def advance(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The state dt after values, unchecked: in out (a contiguous row) if given."""
+        return self._map(values, out)
 
     def step(self, values: np.ndarray) -> np.ndarray:
         """Advance values by dt; nonnegative input stays nonnegative or raises."""
@@ -164,15 +175,16 @@ class Stepper:
 
     def fill(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Write the len(rows) states after values, one step apart, into rows;
-        return the last as an array of its own.  With M >= 0 each row is the
-        product step() takes, and as it keeps nonnegative data nonnegative
-        exactly, step()'s checks reduce to one finiteness check per block."""
-        if self._positive is None:
+        return the last as an array of its own.  A step that keeps sign would
+        never make step() clamp or raise on a sign, so each row is advance()'s
+        state, written in place, and step()'s checks are one finiteness check
+        per block."""
+        if not self.keeps_sign:
             for row in rows:
                 row[:] = values = self.step(values)
             return values
         for row in rows:
-            values = np.matmul(self._positive, values, out=row)
+            values = self.advance(values, row)
         if not (math.isfinite(rows.min()) and math.isfinite(rows.max())):
             raise NumericsError("integrator produced non-finite values")
         return values.copy()
@@ -191,6 +203,7 @@ class Trajectory:
     final: State
     min_value: float = 0.0
     reaction_cfl: float = 0.0
+    block_fill: bool = False    # fill wrote each state in place, with no per-step check
 
     @property
     def max_drift(self) -> float:
@@ -263,4 +276,5 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
     drift = np.zeros(n_steps + 1) if mass0 == 0.0 else (sums[1] - mass0) / mass0
     return Trajectory(times=times, moments=dict(zip(orders, sums)), mass_drift_rel=drift,
                       tail_fraction=tail, dist_ref=dist, states=stored, final=stored[-1],
-                      min_value=min_seen, reaction_cfl=stepper.reaction_cfl)
+                      min_value=min_seen, reaction_cfl=stepper.reaction_cfl,
+                      block_fill=stepper.keeps_sign)

@@ -76,9 +76,9 @@ class Tridiagonal:
         x solves diag(w)(I + beta this) x = rhs, so the caller weights its
         right-hand side by w: solve(w * b) solves (I + beta this) x = b.  The
         symmetric matrix is factored as L D L^T (LAPACK pttrf, no pivoting),
-        and solve runs pttrs in place: it overwrites rhs, so pass a
-        temporary.  Raises NumericsError unless the matrix is positive
-        definite.
+        and solve runs pttrs in place: it writes x over a contiguous float64
+        rhs and returns that array (`Stepper.fill` relies on it to leave each
+        state in its row).  Raises NumericsError unless positive definite.
         """
         w = self.symmetriser
         d, e, info = lapack.dpttrf(w * (1.0 + beta * self.diag),
@@ -143,9 +143,7 @@ class BirthOperator:
         return out
 
     def scaled(self, rows: np.ndarray, death: np.ndarray) -> "BirthOperator":
-        """This gain term with row i times rows[i], carrying `death` as its death."""
-        if self.separable:
-            return replace(self, death=death, receiver=rows * self.receiver)
+        """This dense gain term with row i times rows[i], carrying `death` as its death."""
         return replace(self, death=death, dense_applied=rows[:, None] * self.dense_applied)
 
     def applied_matrix(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -501,7 +502,8 @@ def test_overflowing_geometric_mesh_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("text,line", [
     ("[run]\npreset = mitosis\n[time]\ndt = 1e-300\nt_end = 1e10\n", 5),
     ("[run]\ntask = evolve\n[domain]\nx_max = 40\ncells = 64\n[time]\nt_end = 1e308\n", 7),
-], ids=["explicit-dt", "default-dt"])
+    ("[run]\npreset = mitosis\n[time]\ndt = 1e-12\nt_end = 10\n", 5),
+], ids=["explicit-dt", "default-dt", "past-physical-memory"])
 def test_overflowing_step_count_exits_2_at_t_end(tmp_path, capsys, text, line):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(text)
@@ -510,6 +512,25 @@ def test_overflowing_step_count_exits_2_at_t_end(tmp_path, capsys, text, line):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {cfg_file}:{line}: [time] t_end / dt = ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, time, block_fill", [
+    ("mitosis", "t_end = 0.05", True),
+    ("linear-rate", "t_end = 0.5", True),
+    ("linear-rate", "dt = 0.1\nt_end = 2.0\n[initial]\nmass = 1e-12", False),
+])
+def test_evolve_record_says_whether_the_block_fill_ran(tmp_path, preset, time, block_fill):
+    # past its positivity budget (dt = 0.1) the linear-rate step may clamp,
+    # so every state goes through the per-step checks
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"[run]\npreset = {preset}\n[time]\n{time}\n")
+    out = tmp_path / "out"
+    budget = contextlib.nullcontext() if block_fill else \
+        pytest.warns(UserWarning, match="positivity budget")
+    with budget:
+        assert main(["--config", str(cfg_file), "--out", str(out), "--quiet"]) == 0
+    records = [json.loads(line) for line in (out / "diagnostics.jsonl").read_text().splitlines()]
+    assert [rec["block_fill"] for rec in records if rec["kind"] == "evolve"] == [block_fill]
 
 
 def _run_with_src(*args):

@@ -1,5 +1,7 @@
 import contextlib
+import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,7 +178,7 @@ def test_step_rejects_non_finite_values(mitosis_512, bad, signed):
 def test_dense_fill_rejects_a_non_finite_block(binary_custom, bad):
     # with M >= 0 the block is filled by bare products and checked once
     stepper = Stepper(binary_custom, 1e-3)
-    assert stepper._positive is not None
+    assert stepper.keeps_sign
     values = unit_mass_exponential(binary_custom.mesh).values
     values[5] = bad
     rows = np.empty((RECORD_BLOCK, binary_custom.mesh.n_cells))
@@ -337,25 +339,31 @@ def test_recording_across_block_boundaries(mitosis_512, linear_rate_512, binary_
             assert Stepper(bundle, dt).advance(values).min() < 0.0
 
 
-@pytest.mark.parametrize("data", ["nonnegative", "signed"])
-def test_dense_evolve_matches_a_step_loop(binary_custom, monkeypatch, data):
-    # the block fill takes step()'s product without step()'s checks: every
-    # stored state and every record equal bit for bit, with no step() in the run
-    mesh, dt, n_steps = binary_custom.mesh, 1e-3, 3 * RECORD_BLOCK + 5
-    values = np.exp(-0.3 * mesh.centers) * (np.sin(mesh.centers) if data == "signed" else 1.0)
-    initial = State(values=values, mesh=mesh)
-    stepper = Stepper(binary_custom, dt)
+def _assert_block_fill_matches_a_step_loop(bundle, values, dt, monkeypatch, reference=None):
+    """The block fill takes step()'s state without step()'s checks: every
+    stored state, every record and min_value equal a step() loop's bit for
+    bit, with no step() in the run and one advance() into its row per step."""
+    mesh, n_steps = bundle.mesh, 3 * RECORD_BLOCK + 5
+    stepper = Stepper(bundle, dt)
+    assert stepper.keeps_sign
     states = [values]
     for _ in range(n_steps):
         states.append(stepper.step(states[-1]))
+    advance, outs = Stepper.advance, []
+
+    def counted(self, v, out=None):
+        outs.append(out)
+        return advance(self, v, out)
 
     def unused(self, v):
         raise AssertionError("the block path took a single step")
 
     monkeypatch.setattr(Stepper, "step", unused)
-    monkeypatch.setattr(Stepper, "advance", unused)
+    monkeypatch.setattr(Stepper, "advance", counted)
     config = IntegratorConfig(dt=dt, t_end=n_steps * dt, moment_order=2.5)
-    trajectory = evolve(binary_custom, initial, config)
+    trajectory = evolve(bundle, State(values=values, mesh=mesh), config, reference=reference)
+    assert len(outs) == n_steps and all(out is not None for out in outs)
+    assert trajectory.block_fill
     assert len(trajectory.states) == n_steps
     for state, want in zip(trajectory.states, states[1:]):
         assert np.array_equal(state.values, want)
@@ -363,7 +371,120 @@ def test_dense_evolve_matches_a_step_loop(binary_custom, monkeypatch, data):
         assert np.array_equal(series, [moment_of(mesh, v, m) for v in states])
     assert np.array_equal(trajectory.tail_fraction,
                           [tail_mass_fraction(State(values=v, mesh=mesh)) for v in states])
+    if reference is not None:
+        assert np.array_equal(trajectory.dist_ref,
+                              [x1_distance_of(mesh, v, reference.values) for v in states])
+    assert trajectory.min_value == min(0.0, *(v.min() for v in states))
+    return trajectory
+
+
+@pytest.mark.parametrize("data", ["nonnegative", "signed"])
+def test_dense_evolve_matches_a_step_loop(binary_custom, monkeypatch, data):
+    mesh = binary_custom.mesh
+    values = np.exp(-0.3 * mesh.centers) * (np.sin(mesh.centers) if data == "signed" else 1.0)
+    trajectory = _assert_block_fill_matches_a_step_loop(binary_custom, values, 1e-3, monkeypatch)
     assert (trajectory.min_value < 0.0) == (data == "signed")
+
+
+@pytest.fixture(scope="module")
+def geometric_dirichlet():
+    """Linear rate on a geometric mesh with an absorbing right end."""
+    mesh = build_mesh(40.0, 512, "geometric", ratio=1.005)
+    return assemble_bundle(mesh, PowerRate(1.0), PowerLawKernel(0.0), right_bc="dirichlet")
+
+
+@pytest.fixture
+def power_law(request, mitosis_512, linear_rate_512, geometric_dirichlet):
+    return {"mitosis": mitosis_512, "linear-rate": linear_rate_512,
+            "geometric-dirichlet": geometric_dirichlet}[request.param]
+
+
+POWER_LAWS = ["mitosis", "linear-rate", "geometric-dirichlet"]
+
+
+@pytest.mark.parametrize("data", ["nonnegative", "signed", "turning", "zero"])
+@pytest.mark.parametrize("power_law", POWER_LAWS, indirect=True)
+def test_power_law_evolve_matches_a_step_loop(power_law, monkeypatch, data):
+    # the same holds for the in-place IMEX step of a power-law kernel
+    mesh = power_law.mesh
+    xc = mesh.centers
+    values = {"nonnegative": np.exp(-0.3 * xc), "signed": np.sin(xc) * np.exp(-0.3 * xc),
+              "turning": np.exp(-0.3 * xc) - 0.0035 * np.exp(-((xc - 20.0) / 0.3) ** 2),
+              "zero": np.zeros(xc.size)}[data]
+    reference = State(values=xc * np.exp(-xc), mesh=mesh)
+    trajectory = _assert_block_fill_matches_a_step_loop(power_law, values, 1e-3, monkeypatch,
+                                                        reference)
+    if data == "turning":   # signed at first, nonnegative at the end
+        assert trajectory.min_value < 0.0 <= trajectory.final.values.min()
+    assert (trajectory.min_value < 0.0) == (data in ("signed", "turning"))
+
+
+@pytest.mark.parametrize("power_law", POWER_LAWS, indirect=True)
+def test_power_law_step_keeps_sign_exactly_at_budget_one(power_law):
+    # at dt max(death) = 1 some keep_i is (nearly) 0; the step alone, with
+    # no clamp, keeps spikes at either end, subnormal data and zeros >= 0
+    n, xc = power_law.mesh.n_cells, power_law.mesh.centers
+    stepper = Stepper(power_law, 1.0 / float(np.max(power_law.death)))
+    assert stepper.positivity_budget <= 1.0 and stepper.keeps_sign
+    first, last = np.eye(n)[0], np.eye(n)[-1]
+    for values in (first, last, first + last, 1e-300 * (first + last),
+                   1e-300 * np.exp(-xc), np.zeros(n)):
+        for _ in range(RECORD_BLOCK):
+            values = stepper.advance(values)
+            assert values.min() >= 0.0
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("custom", [False, True])
+def test_advance_writes_into_out(mitosis_512, binary_custom, rng, scheme, custom):
+    # fill relies on it: a copy made on the way (say, by f2py for pttrs)
+    # would leave the block unwritten
+    bundle = binary_custom if custom else mitosis_512
+    stepper = Stepper(bundle, 1e-3, scheme)
+    values = rng.standard_normal(bundle.mesh.n_cells)
+    block = np.zeros((2, bundle.mesh.n_cells))
+    got = stepper.advance(values, out=block[1])
+    assert np.shares_memory(got, block[1])
+    assert np.array_equal(block[1], stepper.advance(values))
+    assert not block[0].any()
+
+
+@pytest.mark.parametrize("power_law", POWER_LAWS, indirect=True)
+def test_power_law_step_is_the_scaled_reaction_and_one_solve(power_law, rng):
+    # operation for operation, so bit for bit: the reaction apply of the copy
+    # with gain rows times dt w and death -w (1 - dt d), then one pttrs
+    dt, w, n = 1e-3, power_law.diffusion.symmetriser, power_law.mesh.n_cells
+    keep = w * (1.0 - dt * power_law.death)
+    birth = replace(power_law.birth, receiver=dt * w * power_law.birth.receiver, death=-keep)
+    explicit = replace(power_law, birth=birth)
+    solve = power_law.diffusion.factor(-dt)
+    stepper = Stepper(power_law, dt)
+    for values in (*rng.standard_normal((3, n)), np.exp(-power_law.mesh.centers), np.zeros(n)):
+        assert np.array_equal(stepper.advance(values), solve(explicit.apply_reaction(values)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_power_law_fill_rejects_a_non_finite_block(mitosis_512, bad):
+    # the power-law twin of test_dense_fill_rejects_a_non_finite_block
+    stepper = Stepper(mitosis_512, 1e-3)
+    assert stepper.keeps_sign
+    values = unit_mass_exponential(mitosis_512.mesh).values
+    values[5] = bad
+    rows = np.empty((RECORD_BLOCK, mitosis_512.mesh.n_cells))
+    with pytest.raises(NumericsError, match="non-finite"):
+        stepper.fill(rows, values)
+
+
+def test_trajectory_records_whether_the_block_fill_ran(linear_rate_512):
+    # past its budget imex_euler fills block rows by step(), with its clamp
+    initial = State(values=1e-12 * np.exp(-linear_rate_512.mesh.centers),
+                    mesh=linear_rate_512.mesh)
+    with pytest.warns(UserWarning, match="positivity budget"):
+        past = evolve(linear_rate_512, initial, IntegratorConfig(dt=0.1, t_end=1.0))
+    assert not past.block_fill
+    assert evolve(linear_rate_512, initial, IntegratorConfig(dt=0.01, t_end=0.1)).block_fill
+    implicit = IntegratorConfig(scheme="fully_implicit", dt=0.1, t_end=0.2)
+    assert not evolve(linear_rate_512, initial, implicit).block_fill
 
 
 def test_dense_stepper_past_its_budget_keeps_the_clamp_rule(binary_custom):
@@ -497,6 +618,19 @@ def test_step_counts_that_overflow_are_rejected(mitosis_512):
     assert default_dt(slow) > 2.0       # so that 5e-324 / dt rounds to 0
     with pytest.raises(ConfigError, match="t_end / dt = 5e-324 / .* underflows"):
         IntegratorConfig(t_end=5e-324).grid(slow)
+
+
+def test_step_counts_past_physical_memory_are_rejected(monkeypatch):
+    # 1e13 steps of 8 float64 series: 640 TB, refused before any allocation
+    with pytest.raises(ConfigError, match=r"t_end / dt = 10.0 / 1e-12 takes 10000000000000 "
+                                          r"steps, whose series need 640000000000064 bytes"):
+        IntegratorConfig(dt=1e-12, t_end=10.0)
+    # the bound is the machine's: 1000 steps need 8 * 8 * 1001 bytes
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 8 * 8 * 1001}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert IntegratorConfig(dt=1e-3, t_end=1.0).grid(None) == (1e-3, 1000)
+    with pytest.raises(ConfigError, match="1001 steps, whose series need 64128 bytes"):
+        IntegratorConfig(dt=1e-3, t_end=1.001)
 
 
 def test_infinite_dt_is_rejected():
