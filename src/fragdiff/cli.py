@@ -83,10 +83,8 @@ def _task_evolve(cfg: RunConfig, bundle, out: Path, diag: list) -> None:
     _write_csv(out / "moments.csv", "t,M0,M1,M2,Mm,dist_ref_X1,mass_drift_rel,tail_mass_frac",
                [column[rows] for column in columns])
     _write_profile(out, trajectory.final)
-    _record(diag, "evolve", steps=n - 1, block_fill=trajectory.block_fill,
-            max_mass_drift=trajectory.max_drift,
-            min_value=trajectory.min_value,
-            reaction_cfl=trajectory.reaction_cfl,
+    _record(diag, "evolve", steps=n - 1, max_mass_drift=trajectory.max_drift,
+            min_value=trajectory.min_value, reaction_cfl=trajectory.reaction_cfl,
             final_tail_fraction=float(trajectory.tail_fraction[-1]))
     if reference is not None:
         fit = decay_rate(trajectory, reference)

@@ -16,17 +16,21 @@ forms that in place and runs one `pttrs`; a custom kernel's gain is a dense
 matrix, so its step is too: the stepper applies the step to the identity
 once, and each step is one product with that matrix M.
 
-imex_euler preserves nonnegativity while its positivity budget dt * max(death)
-is <= 1 (the default dt keeps a factor-2 margin); fully_implicit does for
-every dt.  With keep >= 0 there, or M >= 0, the step keeps sign exactly
-(`Stepper.keeps_sign`): its right-hand side is sums and products of
-nonnegative numbers, and `pttrs` only adds and divides such numbers, as the
-factor L D L^T has D > 0 and, from the off-diagonals -dt w upper, L <= 0 off
-its diagonal; rounding is monotone.  Then `Stepper.fill` writes each state of
-a block of RECORD_BLOCK straight into its row and checks the block once, else
-it takes `Stepper.step` per state.  `evolve` takes every recorded reduction
-of a block as one `np.vecdot` with a weight row built once per run, the same
-BLAS dot as the public reduction's, so the records equal them bit for bit.
+`Stepper.fill`, the one stepping loop, writes each state of a block into its
+row and checks the block once: a non-finite state raises NumericsError, a
+negative state after a nonnegative one PropertyViolation, at any data scale;
+nothing is clamped.  Rounding is monotone, so no run within its positivity
+budget raises on a sign.  imex_euler with dt * max(death) <= 1 has keep >= 0:
+its right-hand side is sums and products of nonnegative numbers, which `pttrs`
+only adds and divides (L D L^T has D > 0, L <= 0 off its diagonal), and M,
+that step applied to each column of I, is >= 0.  fully_implicit's I - dt G is
+a Z-matrix with a positive diagonal in the (phi_i, s_i) layout: when `dgbtrf`
+interchanges no row (the `dtbsv` path), L and U keep off-diagonals <= 0, and
+with diag(U) > 0 the sweeps add and divide nonnegative numbers.  `dgbtrf`
+pivoted only at dt = 1e4 in a survey, with no dip there either.
+`evolve` takes every recorded reduction of a block as one `np.vecdot` with a
+weight row built once per run, the same BLAS dot as the public reduction's,
+so the records equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -39,14 +43,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, NumericsError, PropertyViolation
-# re-exported: evolve() records what tail_mass_fraction and x1_distance_of give
+# re-exported: perfbench/spans.py traces tail_mass_fraction and x1_distance_of here
 from .mesh import (State, moment_of, moment_row, require_count,  # noqa: F401
                    require_moment_order, require_same_mesh, tail_mass_fraction,
                    x1_distance_of)
 from .operators import OperatorBundle, factor
 
 SCHEMES = ("imex_euler", "fully_implicit")
-POSITIVITY_FLOOR = -1e-13
 RECORD_BLOCK = 16   # states per recording block: 256 KB at N = 2048
 SERIES = 8  # float64 series evolve keeps per step: t, 4 moments, drift, tail, X1 distance
 
@@ -121,11 +124,9 @@ class Stepper:
         _check_step(scheme, dt)
         self.reaction_cfl = dt * float(np.max(bundle.death))
         self.positivity_budget = positivity_budget(bundle, dt, scheme)
-        self.keeps_sign = False
         if scheme == "fully_implicit":
             solve = factor(bundle, 1.0, -dt)
-            self._map = lambda values, out: solve(values) if out is None else \
-                np.copyto(out, solve(values)) or out
+            self._map = lambda values, out: np.copyto(out, solve(values)) or out
             return
         # imex_euler's diffusion solve overwrites right-hand sides weighted by the
         # symmetriser w, here w (v + dt (B v - d v)) = dt w B v + keep v
@@ -144,7 +145,7 @@ class Stepper:
                 out += np.multiply(gain, suffix, out=suffix)
                 return solve(out)
 
-            self._map, self.keeps_sign = imex, bool(keep.min() >= 0.0)
+            self._map = imex
         else:
             # a dense gain makes the step dense anyway: one matrix, the step
             # applied to the identity (death * I is diag(death) there), as the
@@ -152,42 +153,34 @@ class Stepper:
             explicit = replace(bundle, birth=birth.scaled(dt * w, -keep))
             matrix = solve(explicit.apply_reaction(np.eye(len(w))))
             self._map = lambda values, out: np.matmul(matrix, values, out=out)
-            self.keeps_sign = bool(matrix.min() >= 0.0)
 
     def advance(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The state dt after values, unchecked: in out (a contiguous row) if given."""
-        return self._map(values, out)
+        return self._map(values, np.empty(len(values)) if out is None else out)
 
     def step(self, values: np.ndarray) -> np.ndarray:
-        """Advance values by dt; nonnegative input stays nonnegative or raises."""
-        new = self.advance(values)
-        # the min and the max are NaN or infinite exactly when some value is
-        low, high = float(new.min()), float(new.max())
-        if not (math.isfinite(low) and math.isfinite(high)):
-            raise NumericsError("integrator produced non-finite values")
-        # the input's sign matters only once the new state dips below zero
-        if low < 0.0 and values.min(initial=0.0) >= 0.0:
-            if low < POSITIVITY_FLOOR:
-                raise PropertyViolation(
-                    f"positivity violated: minimum {low:.3e} below {POSITIVITY_FLOOR}")
-            new = np.maximum(new, 0.0)
-        return new
+        """Advance values by dt: fill() of one row, with its checks."""
+        return self.fill(np.empty((1, len(values))), values)
 
     def fill(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Write the len(rows) states after values, one step apart, into rows;
-        return the last as an array of its own.  A step that keeps sign would
-        never make step() clamp or raise on a sign, so each row is advance()'s
-        state, written in place, and step()'s checks are one finiteness check
-        per block."""
-        if not self.keeps_sign:
-            for row in rows:
-                row[:] = values = self.step(values)
-            return values
+        return the last as an array of its own.  Each row is advance()'s state,
+        written in place, and the block is checked once: in step order, the
+        first state that is not finite raises NumericsError, the first to dip
+        below zero after a nonnegative state PropertyViolation."""
+        state = values
         for row in rows:
-            values = self.advance(values, row)
-        if not (math.isfinite(rows.min()) and math.isfinite(rows.max())):
-            raise NumericsError("integrator produced non-finite values")
-        return values.copy()
+            state = self.advance(state, row)
+        if not (rows.min() >= 0.0 and math.isfinite(rows.max())):     # NaN fails the first
+            lows = rows.min(axis=1)
+            before = [values.min(initial=0.0), *lows]   # each row's predecessor's minimum
+            for low, high, prior in zip(lows, rows.max(axis=1), before):
+                if not (math.isfinite(low) and math.isfinite(high)):
+                    raise NumericsError("integrator produced non-finite values")
+                if low < 0.0 <= prior:
+                    raise PropertyViolation(
+                        f"positivity violated: minimum {low:.3e} after a nonnegative state")
+        return state.copy()
 
 
 @dataclass
@@ -203,7 +196,6 @@ class Trajectory:
     final: State
     min_value: float = 0.0
     reaction_cfl: float = 0.0
-    block_fill: bool = False    # fill wrote each state in place, with no per-step check
 
     @property
     def max_drift(self) -> float:
@@ -240,8 +232,7 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
     buffer = np.empty_like(block)
 
     values, every, stored = initial.values, config.output_every, []
-    # fill() keeps nonnegative data nonnegative: only a signed initial state
-    # can lead to signed states, so it decides the recording path of the run
+    # fill() raises before nonnegative data turn negative: the start decides the recording path
     min_seen = float(values.min(initial=0.0))
     signed = min_seen < 0.0
 
@@ -276,5 +267,4 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
     drift = np.zeros(n_steps + 1) if mass0 == 0.0 else (sums[1] - mass0) / mass0
     return Trajectory(times=times, moments=dict(zip(orders, sums)), mass_drift_rel=drift,
                       tail_fraction=tail, dist_ref=dist, states=stored, final=stored[-1],
-                      min_value=min_seen, reaction_cfl=stepper.reaction_cfl,
-                      block_fill=stepper.keeps_sign)
+                      min_value=min_seen, reaction_cfl=stepper.reaction_cfl)

@@ -115,7 +115,7 @@ class State:
     @classmethod
     def _checked(cls, values: np.ndarray, mesh: Mesh, time: float) -> "State":
         """A State without __post_init__'s second scan, for values that meet its
-        rules already (float64, shape (n_cells,), finite): `Stepper.step` checked them."""
+        rules already (float64, shape (n_cells,), finite): `Stepper.fill` checked them."""
         state = object.__new__(cls)
         state.values, state.mesh, state.time = values, mesh, time
         return state

@@ -1,20 +1,19 @@
-import contextlib
 import os
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, lapack
 
 from fragdiff import (ConfigError, ConstantRate, CustomKernel, IntegratorConfig,
                       NumericsError, PowerLawKernel, PowerRate, PropertyViolation,
                       State, Stepper, apply_generator, assemble_bundle, build_mesh,
                       default_dt, evolve, heat_apply_exact, mass, moment,
                       solve_steady, tail_mass_fraction, x1_distance)
-from fragdiff.evolution import POSITIVITY_FLOOR, RECORD_BLOCK, SCHEMES
+from fragdiff.evolution import RECORD_BLOCK, SCHEMES
 from fragdiff.mesh import moment_of, x1_distance_of
-from fragdiff.operators import OperatorBundle
+from fragdiff.operators import OperatorBundle, _interleaved_bands
 from conftest import exact_equilibrium
 
 
@@ -169,16 +168,15 @@ def test_step_rejects_non_finite_values(mitosis_512, bad, signed):
     values = unit_mass_exponential(mitosis_512.mesh).values - 0.01 * signed
     advanced = stepper.advance(values)
     advanced[7] = bad
-    stepper.advance = lambda v: advanced.copy()
+    stepper.advance = lambda v, out: np.copyto(out, advanced) or out
     with pytest.raises(NumericsError, match="non-finite"):
         stepper.step(values)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_dense_fill_rejects_a_non_finite_block(binary_custom, bad):
-    # with M >= 0 the block is filled by bare products and checked once
+    # the block is filled by bare products and checked once
     stepper = Stepper(binary_custom, 1e-3)
-    assert stepper.keeps_sign
     values = unit_mass_exponential(binary_custom.mesh).values
     values[5] = bad
     rows = np.empty((RECORD_BLOCK, binary_custom.mesh.n_cells))
@@ -195,7 +193,7 @@ def test_positivity_warning_on_large_dt(linear_rate_512):
 def fine_geometric():
     """Linear rate on a geometric mesh (smallest cell 2.47e-3).  imex_euler at
     dt = 0.1 is beyond its positivity budget (3.94) here, as on the uniform
-    mesh: unit-scale data dip below the floor, data of scale 1e-12 are clamped."""
+    mesh: data of every scale dip at step 1."""
     mesh = build_mesh(40.0, 512, "geometric", ratio=1.01)
     return assemble_bundle(mesh, PowerRate(1.0), PowerLawKernel(0.0))
 
@@ -277,23 +275,23 @@ def test_recording_signed_data(mitosis_512):
     _assert_records_equal_public_reductions(trajectory, initial, reference)
 
 
-def test_recording_of_a_clamped_run(fine_geometric):
-    # data small enough that the undershoot beyond the imex_euler budget
-    # stays within the positivity floor, so step() clamps instead of raising
-    mesh = fine_geometric.mesh
-    initial = State(values=1e-12 * np.exp(-mesh.centers), mesh=mesh)
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_a_run_that_dips_raises_at_every_scale(fine_geometric, scale):
+    # the step is linear, so data of scale 1e-12 dip as unit-scale data do,
+    # and the run raises at that first negative state: nothing is clamped
+    initial = State(values=scale * np.exp(-fine_geometric.mesh.centers),
+                    mesh=fine_geometric.mesh)
     with pytest.warns(UserWarning, match="positivity budget"):
-        stepper = Stepper(fine_geometric, 0.1, "imex_euler")
-        trajectory = evolve(fine_geometric, initial, IntegratorConfig(dt=0.1, t_end=2.0))
-    assert stepper.advance(initial.values).min() < 0.0       # clamped at step 1
-    assert trajectory.states[0].values.min() >= 0.0
-    assert trajectory.min_value == 0.0
-    _assert_records_equal_public_reductions(trajectory, initial)
+        low = Stepper(fine_geometric, 0.1, "imex_euler").advance(initial.values).min()
+        with pytest.raises(PropertyViolation,
+                           match=f"minimum {low:.3e} after a nonnegative state"):
+            evolve(fine_geometric, initial, IntegratorConfig(dt=0.1, t_end=2.0))
+    assert -1e-6 * scale < low < 0.0
 
 
 @pytest.mark.parametrize("n_steps", [1, RECORD_BLOCK - 1, RECORD_BLOCK, RECORD_BLOCK + 1,
                                      2 * RECORD_BLOCK + 3])
-@pytest.mark.parametrize("data", ["signed", "turning", "zero", "clamped",
+@pytest.mark.parametrize("data", ["signed", "turning", "zero", "dipping",
                                   "custom-signed", "custom-turning", "custom-zero"])
 def test_recording_across_block_boundaries(mitosis_512, linear_rate_512, binary_custom,
                                            data, n_steps):
@@ -311,16 +309,17 @@ def test_recording_across_block_boundaries(mitosis_512, linear_rate_512, binary_
         values = np.exp(-0.3 * xc) - dip[1] * np.exp(-((xc - dip[0]) / 0.3) ** 2)
     elif data == "zero":
         values = np.zeros(xc.size)
-    else:   # imex_euler beyond its budget clamps step 1, block row 1
-        bundle, dt = linear_rate_512, 0.1
-        values = 1e-12 * np.exp(-xc)
+    else:   # imex_euler beyond its budget dips at step 1, block row 1, and raises
+        initial = State(values=1e-12 * np.exp(-xc), mesh=linear_rate_512.mesh)
+        with pytest.warns(UserWarning, match="positivity budget"):
+            low = Stepper(linear_rate_512, 0.1).advance(initial.values).min()
+            with pytest.raises(PropertyViolation, match=f"minimum {low:.3e} after"):
+                evolve(linear_rate_512, initial, IntegratorConfig(dt=0.1, t_end=n_steps * 0.1))
+        return
     initial = State(values=values, mesh=bundle.mesh)
-    reference = None if data == "clamped" else solve_steady(bundle).state
+    reference = solve_steady(bundle).state
     config = IntegratorConfig(dt=dt, t_end=n_steps * dt, moment_order=0.5)
-    budget = pytest.warns(UserWarning, match="positivity budget") if data == "clamped" \
-        else contextlib.nullcontext()
-    with budget:
-        trajectory = evolve(bundle, initial, config, reference=reference)
+    trajectory = evolve(bundle, initial, config, reference=reference)
     assert trajectory.times.size == n_steps + 1
     _assert_records_equal_public_reductions(trajectory, initial, reference)
     minima = [state.values.min() for state in trajectory.states]
@@ -330,22 +329,19 @@ def test_recording_across_block_boundaries(mitosis_512, linear_rate_512, binary_
         turned = next((k for k, low in enumerate(minima, 1) if low >= 0.0), None)
         assert turned == (dip[2] if n_steps >= dip[2] else None)
         assert trajectory.min_value < 0.0
-    elif data == "zero":
+    else:
         assert np.all(trajectory.tail_fraction == 0.0)
         assert np.all(trajectory.moments[1.0] == 0.0)
-    else:
-        assert min(minima) >= 0.0 and trajectory.min_value == 0.0
-        with pytest.warns(UserWarning, match="positivity budget"):
-            assert Stepper(bundle, dt).advance(values).min() < 0.0
 
 
-def _assert_block_fill_matches_a_step_loop(bundle, values, dt, monkeypatch, reference=None):
-    """The block fill takes step()'s state without step()'s checks: every
-    stored state, every record and min_value equal a step() loop's bit for
-    bit, with no step() in the run and one advance() into its row per step."""
+def _assert_evolve_matches_a_step_loop(bundle, values, dt, monkeypatch, reference=None,
+                                       scheme="imex_euler"):
+    """evolve fills each block by advance() into its rows, with step()'s
+    checks once per block: every stored state, every record and min_value
+    equal a step() loop's bit for bit, with no step() in the run and one
+    advance() into its row per step."""
     mesh, n_steps = bundle.mesh, 3 * RECORD_BLOCK + 5
-    stepper = Stepper(bundle, dt)
-    assert stepper.keeps_sign
+    stepper = Stepper(bundle, dt, scheme)
     states = [values]
     for _ in range(n_steps):
         states.append(stepper.step(states[-1]))
@@ -356,14 +352,13 @@ def _assert_block_fill_matches_a_step_loop(bundle, values, dt, monkeypatch, refe
         return advance(self, v, out)
 
     def unused(self, v):
-        raise AssertionError("the block path took a single step")
+        raise AssertionError("evolve took a single step")
 
     monkeypatch.setattr(Stepper, "step", unused)
     monkeypatch.setattr(Stepper, "advance", counted)
-    config = IntegratorConfig(dt=dt, t_end=n_steps * dt, moment_order=2.5)
+    config = IntegratorConfig(scheme=scheme, dt=dt, t_end=n_steps * dt, moment_order=2.5)
     trajectory = evolve(bundle, State(values=values, mesh=mesh), config, reference=reference)
     assert len(outs) == n_steps and all(out is not None for out in outs)
-    assert trajectory.block_fill
     assert len(trajectory.states) == n_steps
     for state, want in zip(trajectory.states, states[1:]):
         assert np.array_equal(state.values, want)
@@ -382,7 +377,7 @@ def _assert_block_fill_matches_a_step_loop(bundle, values, dt, monkeypatch, refe
 def test_dense_evolve_matches_a_step_loop(binary_custom, monkeypatch, data):
     mesh = binary_custom.mesh
     values = np.exp(-0.3 * mesh.centers) * (np.sin(mesh.centers) if data == "signed" else 1.0)
-    trajectory = _assert_block_fill_matches_a_step_loop(binary_custom, values, 1e-3, monkeypatch)
+    trajectory = _assert_evolve_matches_a_step_loop(binary_custom, values, 1e-3, monkeypatch)
     assert (trajectory.min_value < 0.0) == (data == "signed")
 
 
@@ -402,21 +397,33 @@ def power_law(request, mitosis_512, linear_rate_512, geometric_dirichlet):
 POWER_LAWS = ["mitosis", "linear-rate", "geometric-dirichlet"]
 
 
+def _power_law_data(xc, data):
+    return {"nonnegative": np.exp(-0.3 * xc), "signed": np.sin(xc) * np.exp(-0.3 * xc),
+            "turning": np.exp(-0.3 * xc) - 0.0035 * np.exp(-((xc - 20.0) / 0.3) ** 2),
+            "zero": np.zeros(xc.size)}[data]
+
+
 @pytest.mark.parametrize("data", ["nonnegative", "signed", "turning", "zero"])
 @pytest.mark.parametrize("power_law", POWER_LAWS, indirect=True)
 def test_power_law_evolve_matches_a_step_loop(power_law, monkeypatch, data):
     # the same holds for the in-place IMEX step of a power-law kernel
-    mesh = power_law.mesh
-    xc = mesh.centers
-    values = {"nonnegative": np.exp(-0.3 * xc), "signed": np.sin(xc) * np.exp(-0.3 * xc),
-              "turning": np.exp(-0.3 * xc) - 0.0035 * np.exp(-((xc - 20.0) / 0.3) ** 2),
-              "zero": np.zeros(xc.size)}[data]
-    reference = State(values=xc * np.exp(-xc), mesh=mesh)
-    trajectory = _assert_block_fill_matches_a_step_loop(power_law, values, 1e-3, monkeypatch,
-                                                        reference)
+    xc = power_law.mesh.centers
+    reference = State(values=xc * np.exp(-xc), mesh=power_law.mesh)
+    trajectory = _assert_evolve_matches_a_step_loop(power_law, _power_law_data(xc, data), 1e-3,
+                                                    monkeypatch, reference)
     if data == "turning":   # signed at first, nonnegative at the end
         assert trajectory.min_value < 0.0 <= trajectory.final.values.min()
     assert (trajectory.min_value < 0.0) == (data in ("signed", "turning"))
+
+
+@pytest.mark.parametrize("data", ["nonnegative", "signed", "zero"])
+@pytest.mark.parametrize("power_law", POWER_LAWS, indirect=True)
+def test_fully_implicit_evolve_matches_a_step_loop(power_law, monkeypatch, data):
+    # and for the fully implicit step, which copies each solve into its row
+    xc = power_law.mesh.centers
+    trajectory = _assert_evolve_matches_a_step_loop(power_law, _power_law_data(xc, data), 0.01,
+                                                    monkeypatch, scheme="fully_implicit")
+    assert (trajectory.min_value < 0.0) == (data == "signed")
 
 
 @pytest.mark.parametrize("power_law", POWER_LAWS, indirect=True)
@@ -425,7 +432,7 @@ def test_power_law_step_keeps_sign_exactly_at_budget_one(power_law):
     # no clamp, keeps spikes at either end, subnormal data and zeros >= 0
     n, xc = power_law.mesh.n_cells, power_law.mesh.centers
     stepper = Stepper(power_law, 1.0 / float(np.max(power_law.death)))
-    assert stepper.positivity_budget <= 1.0 and stepper.keeps_sign
+    assert stepper.positivity_budget <= 1.0
     first, last = np.eye(n)[0], np.eye(n)[-1]
     for values in (first, last, first + last, 1e-300 * (first + last),
                    1e-300 * np.exp(-xc), np.zeros(n)):
@@ -467,7 +474,6 @@ def test_power_law_step_is_the_scaled_reaction_and_one_solve(power_law, rng):
 def test_power_law_fill_rejects_a_non_finite_block(mitosis_512, bad):
     # the power-law twin of test_dense_fill_rejects_a_non_finite_block
     stepper = Stepper(mitosis_512, 1e-3)
-    assert stepper.keeps_sign
     values = unit_mass_exponential(mitosis_512.mesh).values
     values[5] = bad
     rows = np.empty((RECORD_BLOCK, mitosis_512.mesh.n_cells))
@@ -475,39 +481,68 @@ def test_power_law_fill_rejects_a_non_finite_block(mitosis_512, bad):
         stepper.fill(rows, values)
 
 
-def test_trajectory_records_whether_the_block_fill_ran(linear_rate_512):
-    # past its budget imex_euler fills block rows by step(), with its clamp
-    initial = State(values=1e-12 * np.exp(-linear_rate_512.mesh.centers),
-                    mesh=linear_rate_512.mesh)
-    with pytest.warns(UserWarning, match="positivity budget"):
-        past = evolve(linear_rate_512, initial, IntegratorConfig(dt=0.1, t_end=1.0))
-    assert not past.block_fill
-    assert evolve(linear_rate_512, initial, IntegratorConfig(dt=0.01, t_end=0.1)).block_fill
-    implicit = IntegratorConfig(scheme="fully_implicit", dt=0.1, t_end=0.2)
-    assert not evolve(linear_rate_512, initial, implicit).block_fill
-
-
-def test_dense_stepper_past_its_budget_keeps_the_clamp_rule(binary_custom):
-    # beyond the budget the step matrix has negative entries, so the stepper
-    # fills no block by bare products and step() clamps or raises as for a power law
+def test_dense_stepper_past_its_budget_raises_at_every_scale(binary_custom):
+    # beyond the budget the step matrix has negative entries: a spike dips at
+    # step 1, at unit scale and at 1e-12 alike, and step() and evolve raise
     dt, xc = 1.5, binary_custom.mesh.centers
     spike = np.exp(-((xc - 15.0) / 0.2) ** 2)
     with pytest.warns(UserWarning, match="positivity budget 1.48"):
         stepper = Stepper(binary_custom, dt)
-    assert stepper.advance(spike).min() < -0.03     # unit scale: below the floor
-    with pytest.raises(PropertyViolation, match="positivity violated"):
-        stepper.step(spike)
-    tiny = State(values=1e-12 * spike, mesh=binary_custom.mesh)
-    assert POSITIVITY_FLOOR < stepper.advance(tiny.values).min() < 0.0
-    with pytest.warns(UserWarning, match="positivity budget"):
-        trajectory = evolve(binary_custom, tiny, IntegratorConfig(dt=dt, t_end=10 * dt))
-    assert trajectory.min_value == 0.0
-    assert min(state.values.min() for state in trajectory.states) >= 0.0
-    _assert_records_equal_public_reductions(trajectory, tiny)
-    with pytest.warns(UserWarning, match="positivity budget"), \
-            pytest.raises(PropertyViolation, match="positivity violated"):
-        evolve(binary_custom, State(values=spike, mesh=binary_custom.mesh),
-               IntegratorConfig(dt=dt, t_end=10 * dt))
+    assert stepper.advance(spike).min() < -0.03
+    for values in (spike, 1e-12 * spike):
+        with pytest.raises(PropertyViolation, match="positivity violated"):
+            stepper.step(values)
+        with pytest.warns(UserWarning, match="positivity budget"), \
+                pytest.raises(PropertyViolation, match="positivity violated"):
+            evolve(binary_custom, State(values=values, mesh=binary_custom.mesh),
+                   IntegratorConfig(dt=dt, t_end=10 * dt))
+
+
+@pytest.mark.parametrize("first, error", [("dip", PropertyViolation), ("nan", NumericsError)])
+def test_fill_raises_on_the_first_offending_state(mitosis_512, first, error):
+    # fill checks the block once, after it is written, yet in step order: of
+    # a dip (after a nonnegative state) and a NaN, the earlier one raises
+    stepper = Stepper(mitosis_512, 1e-3)
+    values = unit_mass_exponential(mitosis_512.mesh).values
+    faults = {3: first, 7: "nan" if first == "dip" else "dip"}     # step -> fault
+    steps = []
+
+    def advance(v, out):
+        np.copyto(out, values)
+        if len(steps) in faults:
+            out[5] = -1e-3 if faults[len(steps)] == "dip" else np.nan
+        steps.append(out)
+        return out
+
+    stepper.advance = advance
+    rows = np.empty((RECORD_BLOCK, values.size))
+    match = "minimum -1.000e-03 after a nonnegative" if first == "dip" else "non-finite"
+    with pytest.raises(error, match=match):
+        stepper.fill(rows, values)
+    assert len(steps) == RECORD_BLOCK
+
+
+def test_fully_implicit_keeps_nonnegative_data_nonnegative(mitosis_2048, linear_rate_1024,
+                                                           geometric_dirichlet, rng):
+    # no clamp backs the step: I - dt G has nonpositive off-diagonals in the
+    # (phi_i, s_i) layout, so an LU with no row interchange keeps sign, and
+    # where dgbtrf pivots (dt = 1e4 on the coarse mesh) no dip shows either
+    coarse = assemble_bundle(build_mesh(20.0, 64), ConstantRate(1.0), PowerLawKernel(0.0))
+    pivoted = []
+    for bundle in (mitosis_2048, linear_rate_1024, geometric_dirichlet, coarse):
+        n = bundle.mesh.n_cells
+        data = (np.exp(-bundle.mesh.centers), np.eye(1, n, 0)[0], np.eye(1, n, n - 1)[0],
+                1e6 * rng.random(n))
+        for dt in (1e-3, 0.1, 10.0, 1e4):
+            piv = lapack.dgbtrf(_interleaved_bands(bundle, 1.0, -dt), 2, 2)[1]
+            if not np.array_equal(piv, np.arange(2 * n)):
+                pivoted.append((n, dt))
+            stepper = Stepper(bundle, dt, "fully_implicit")
+            for values in data:
+                for _ in range(5):
+                    values = stepper.advance(values)
+                    assert values.min() >= 0.0
+    assert (64, 1e4) in pivoted
 
 
 @pytest.mark.parametrize("signed", [False, True])

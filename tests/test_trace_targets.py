@@ -52,15 +52,17 @@ def _counting(monkeypatch, owner, name):
                                           ("custom", "imex_euler"),
                                           ("power-law", "fully_implicit")])
 def test_evolve_advances_once_per_step(bundles, monkeypatch, kind, scheme):
-    # the tracer's evolution.advance_us times Stepper.advance: every step,
-    # on the block path and on the per-step path alike, is one call
+    # the tracer's evolution.advance_us times Stepper.advance: every step is
+    # one call.  evolve calls Stepper.step not at all, so the tracer's
+    # evolution.step_us and evolution.steps count only library calls of step()
     from fragdiff import IntegratorConfig, State, evolve
     from fragdiff.evolution import Stepper
     bundle = bundles[kind]
     calls = _counting(monkeypatch, Stepper, "advance")
+    steps = _counting(monkeypatch, Stepper, "step")
     initial = State(values=np.exp(-bundle.mesh.centers), mesh=bundle.mesh)
     evolve(bundle, initial, IntegratorConfig(scheme=scheme, dt=1e-3, t_end=0.037))
-    assert len(calls) == 37
+    assert len(calls) == 37 and steps == []
 
 
 def test_custom_stepper_applies_the_reaction_once(bundles, monkeypatch):
