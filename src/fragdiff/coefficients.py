@@ -30,9 +30,6 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(64)
 # the same rule on (0, 1): nodes u_k, and the weights w_k u_k / 2 of int_0^1 u g(u) du
 _UNIT_NODES = 0.5 * (_GAUSS_NODES + 1.0)
 _UNIT_MASS_WEIGHTS = 0.5 * _GAUSS_WEIGHTS * _UNIT_NODES
-# a(x) >= DIVERGENCE_LEVEL on the outer decade stands in for a(x) -> infinity;
-# the moment ceiling's x_star is where a first reaches it
-DIVERGENCE_LEVEL = 1.0
 # donor sizes and tolerance at which a CustomKernel's mass condition is checked
 _MASS_CHECK_Y = (0.01, 0.1, 1.0, 10.0, 100.0)
 _QUADRATURE_MASS_TOL = 1e-8
@@ -206,16 +203,6 @@ class RegularizedRate(RateModel):
             power_integral(edges[:-1], edges[1:], q + 1.0) / self.n
 
 
-def rate_diverges(rate: RateModel, x_max_probe: float) -> bool:
-    """Proxy for a(x) -> infinity: the outer decade stays at DIVERGENCE_LEVEL or above."""
-    return rate.tail_infimum(x_max_probe / 10.0, x_max_probe) >= DIVERGENCE_LEVEL
-
-
-def rate_tail_positive(rate: RateModel, x_max_probe: float) -> bool:
-    """Proxy for liminf a > 0 at infinity: outer-decade infimum is positive."""
-    return rate.tail_infimum(x_max_probe / 10.0, x_max_probe) > 0.0
-
-
 # ---------------------------------------------------------------------------
 # daughter kernels
 # ---------------------------------------------------------------------------
@@ -362,18 +349,17 @@ def moment_ceiling(rate: RateModel, kernel: DaughterKernel, m: float,
                    x_max_probe: float) -> MomentCeiling:
     """Ceiling for the m-th moment along trajectories, for rates that grow.
 
-    Requires a size x_star beyond which a >= 1 (`rate_diverges`); the
-    ceiling combines the contraction defect with the sub-threshold region:
+    Requires a >= 1 beyond some x_star <= x_max_probe / 10 (else PropertyViolation);
+    the ceiling combines the contraction defect with the sub-threshold region:
 
         mu = (2/delta) * [ 2m (2m(m-3)/delta)^((m-3)/2) + delta x_star^(m-1) ].
     """
     if not m >= 3.0:
         raise ConfigError(f"moment ceiling needs m >= 3, got {m}")
-    if not rate_diverges(rate, x_max_probe):
+    x_star = rate.threshold_crossing(1.0, x_max_probe)
+    if x_star is None or x_star > x_max_probe / 10.0:
         raise PropertyViolation(
             "rate does not stay above 1 on the probe tail; no moment ceiling")
-    # a(x_max_probe) >= 1 here, so the crossing exists
-    x_star = rate.threshold_crossing(DIVERGENCE_LEVEL, x_max_probe)
     delta = delta_m(kernel, m)
     power_term = 2.0 * m * (2.0 * m * (m - 3.0) / delta) ** ((m - 3.0) / 2.0)
     mu = (2.0 / delta) * (power_term + delta * x_star ** (m - 1.0))

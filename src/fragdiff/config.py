@@ -6,11 +6,12 @@ their line.  A `preset` key in [run] starts from a named scenario; any
 key given explicitly afterwards overrides the preset value.
 
 Every value is checked at parse time, by building the objects a run uses
-(its bundle through `build_bundle`, integrator and step grid, initial shape,
-n-sequence, eigenvalue count and steady mass): the constructor that consumes
-a value states its rule.  The bundle is kept as `RunConfig.bundle`, outside
-the config echo.  Errors read `<file>:<line>: [section] <message>`, at the
-offending key, or at its section header when a preset or default gave it.
+(its bundle through `build_bundle`, integrator and step grid, initial shape
+and its mass, n-sequence, eigenvalue count and steady mass): the constructor
+that consumes a value states its rule.  The bundle is kept as
+`RunConfig.bundle`, outside the config echo.  Errors read `<file>:<line>:
+[section] <message>`, at the offending key, or at its section header when
+a preset or default gave it.
 Numbers must be finite, an explicit dt must divide t_end, and t_end / dt
 must be a step count whose series fit in memory.  `_SCHEMA` gives each key's
 type and default; `[run] task`, `[domain] x_max` and `[domain] cells` are
@@ -174,7 +175,7 @@ def parse_config_text(text: str, source: str = "<memory>") -> RunConfig:
     # the objects of a run: their constructors check every value
     cfg.bundle = cfg.checked(build_bundle, cfg)
     cfg.checked(lambda: build_integrator(cfg).grid(cfg.bundle))
-    cfg.checked(_initial_shape, cfg["initial"])
+    cfg.checked(_check_initial, cfg["initial"], cfg.bundle, section="initial")
     cfg.checked(build_n_sequence, cfg)
     # these messages name a key of another section too ([domain] cells, [initial] mass)
     cfg.checked(require_modes, cfg["spectrum"]["k"], cfg.bundle.mesh.n_cells,
@@ -242,22 +243,23 @@ def build_n_sequence(cfg: RunConfig) -> tuple:
     return stationary.regularization_indices(values)
 
 
-def _initial_shape(ini: dict):
-    """The [initial] rules; returns the unnormalised profile shape(ini, bundle)."""
+def _check_initial(ini: dict, bundle: OperatorBundle) -> None:
+    """The [initial] rules, the shape's mass on the bundle's mesh among them."""
     shape = _choose(_SHAPES, "kind", ini["kind"])
     for key in ("scale", "width"):
         if not ini[key] > 0:
             raise ConfigError(f"{key} must be positive, got {ini[key]}")
     stationary.require_mass(ini["mass"])
-    return shape
+    # the equilibrium has unit mass by construction: no steady solve here
+    if ini["kind"] not in ("zero", "equilibrium") and \
+            not moment_of(bundle.mesh, shape(ini, bundle), 1.0) > 0:
+        raise ConfigError("initial profile carries no mass on this mesh")
 
 
 def build_initial(cfg: RunConfig, bundle: OperatorBundle) -> State:
+    """The [initial] profile, scaled to its mass, on the mesh of the parse's bundle."""
     ini = cfg["initial"]
-    values = _initial_shape(ini)(ini, bundle)
+    values = _SHAPES[ini["kind"]](ini, bundle)
     if ini["kind"] != "zero":
-        current = moment_of(bundle.mesh, values, 1.0)
-        if current <= 0:
-            raise ConfigError("initial profile carries no mass on this mesh")
-        values = values * (ini["mass"] / current)
+        values = values * (ini["mass"] / moment_of(bundle.mesh, values, 1.0))
     return State(values=values, mesh=bundle.mesh)

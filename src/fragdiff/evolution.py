@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,11 +147,11 @@ class Stepper:
 
             self._map = imex
         else:
-            # a dense gain makes the step dense anyway: one matrix, the step
-            # applied to the identity (death * I is diag(death) there), as the
-            # reaction of a copy with gain rows times dt w and "death" -keep
-            explicit = replace(bundle, birth=birth.scaled(dt * w, -keep))
-            matrix = solve(explicit.apply_reaction(np.eye(len(w))))
+            # a dense gain makes the step dense anyway: one matrix, the step applied
+            # to the identity: dt w K off the diagonal, keep on it (K's diagonal is 0)
+            explicit = (dt * w)[:, None] * bundle.apply_reaction(np.eye(len(w)))
+            np.fill_diagonal(explicit, keep)
+            matrix = solve(explicit)
             self._map = lambda values, out: np.matmul(matrix, values, out=out)
 
     def advance(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -35,7 +35,7 @@ Solves with the diffusion part alone go through `Tridiagonal.factor`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -141,10 +141,6 @@ class BirthOperator:
         np.multiply(self.receiver[:-1], out[1:], out=out[:-1])
         out[-1] = 0.0
         return out
-
-    def scaled(self, rows: np.ndarray, death: np.ndarray) -> "BirthOperator":
-        """This dense gain term with row i times rows[i], carrying `death` as its death."""
-        return replace(self, death=death, dense_applied=rows[:, None] * self.dense_applied)
 
     def applied_matrix(self) -> np.ndarray:
         """Dense matrix K with (B phi) = K phi (strictly upper triangle)."""
@@ -344,8 +340,9 @@ def heat_apply_exact(state: State, t: float) -> State:
     """Evolve a state by the half-line heat propagator, as a dense quadrature.
 
     O(N^2) reference evaluator for validation; never used in the time loop.
-    Nonnegative input yields nonnegative output (kernel positivity), enforced
-    against roundoff.
+    Nonnegative input yields nonnegative output: the image kernel is >= 0
+    in floating point too (the squares round monotonically and
+    (x - y)^2 <= (x + y)^2), so no clamp is applied.
     """
     xc = state.mesh.centers
     f_dx = state.values * state.mesh.widths
@@ -355,8 +352,6 @@ def heat_apply_exact(state: State, t: float) -> State:
         hi = min(lo + chunk, xc.size)
         block = image_kernel_value(t, xc[lo:hi, None], xc[None, :])
         out[lo:hi] = block @ f_dx
-    if np.all(state.values >= 0.0):
-        np.maximum(out, 0.0, out=out)
     return state.copy_with(out, time=state.time + t)
 
 

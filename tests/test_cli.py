@@ -357,6 +357,22 @@ def test_checks_task_writes_the_kato_records_in_order(tmp_path):
     assert all(rec["status"] == "pass" for rec in kato)
 
 
+def test_checks_task_exits_4_on_a_failed_check_with_its_records(tmp_path, monkeypatch,
+                                                                 capsys):
+    samples = fragdiff.cli.kernel_positivity_samples
+    monkeypatch.setattr("fragdiff.cli.kernel_positivity_samples",
+                        lambda rng: {**samples(rng), "positivity_ok": False})
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(small_config("checks"))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "--out", str(out), "--quiet"]) == 4
+    assert capsys.readouterr().err == "property violation: 1 analysis checks failed\n"
+    records = [json.loads(line) for line in (out / "diagnostics.jsonl").read_text().splitlines()]
+    assert [rec["positivity_ok"] for rec in records if rec["kind"] == "kernel_inequalities"] \
+        == [False]
+    assert records[-1]["kind"] == "birth_domination"     # every check still recorded
+
+
 # ---------------------------------------------------------------------------
 # every value is checked at parse time, at the line of the key
 # ---------------------------------------------------------------------------
@@ -474,6 +490,22 @@ def test_unknown_task_exits_before_output(tmp_path, capsys):
     assert f"config error: {cfg_file}:3: [run] task" in capsys.readouterr().err
     assert main(["--preset", "mitosis", "--task", "fly", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["evolve", "steady"])
+def test_massless_initial_profile_exits_2_at_its_section_before_output(tmp_path, capsys,
+                                                                       task):
+    # a bump centred far beyond x_max = 40 is 0 on every cell: the parse
+    # rejects it whatever the task, before any artifact is written
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[run]\npreset = mitosis\n[domain]\ncells = 64\n"
+                        "[initial]\nkind = gaussian_bump\ncenter = 1000\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "--task", task, "--out", str(out),
+                 "--quiet"]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (f"config error: {cfg_file}:5: [initial] initial "
+                                       "profile carries no mass on this mesh\n")
 
 
 @pytest.mark.parametrize("bad", ["[time]\ndt = nan", "[time]\nt_end = inf",

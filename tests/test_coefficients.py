@@ -224,10 +224,19 @@ def test_moment_ceiling_requires_m_at_least_three():
         moment_ceiling(PowerRate(1.0), PowerLawKernel(0.0), 2.0, 40.0)
 
 
-def test_divergence_and_tail_proxies():
-    from fragdiff.coefficients import rate_diverges, rate_tail_positive
-    assert rate_diverges(PowerRate(1.0), 40.0)
-    assert not rate_diverges(ConstantRate(0.5), 40.0)
-    assert rate_tail_positive(ConstantRate(0.5), 40.0)
-    assert not rate_tail_positive(TableRate(np.array([0.0, 5.0, 40.0]),
-                                            np.array([1.0, 0.0, 0.0])), 40.0)
+@pytest.mark.parametrize("rate,x_star", [
+    (PowerRate(1.0), 1.0),
+    (ConstantRate(1.0), 0.0),   # a >= 1 on the whole probe: no crossing to bisect
+    # a dips to 0.5 at x = 3 and is back at 1 at 3 + 1/6, inside [0, 40 / 10]
+    (TableRate([0.0, 2.0, 3.0, 3.5, 40.0], [2.0, 2.0, 0.5, 2.0, 2.0]), 3.0 + 1.0 / 6.0),
+], ids=["x", "constant-1", "inner-dip"])
+def test_moment_ceiling_x_star_is_where_the_rate_last_reaches_one(rate, x_star):
+    ceiling = moment_ceiling(rate, PowerLawKernel(0.0), 3.0, 40.0)
+    assert ceiling.x_star == pytest.approx(x_star, rel=0.0, abs=1e-12)
+
+
+def test_moment_ceiling_needs_the_rate_at_one_on_the_outer_decade():
+    # a dips to 0.5 at x = 30, so it last reaches 1 at 31.7, beyond 40 / 10
+    rate = TableRate([0.0, 20.0, 30.0, 35.0, 40.0], [2.0, 2.0, 0.5, 2.0, 2.0])
+    with pytest.raises(PropertyViolation, match="no moment ceiling"):
+        moment_ceiling(rate, PowerLawKernel(0.0), 3.0, 40.0)

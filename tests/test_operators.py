@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fragdiff import (ConfigError, ConstantRate, CustomKernel, PowerLawKernel,
+from fragdiff import (ConfigError, ConstantRate, CustomKernel, NumericsError, PowerLawKernel,
                       PowerRate, ShiftedPowerRate, State, apply_generator,
                       assemble_birth, assemble_bundle, assemble_diffusion,
                       build_mesh, heat_apply_exact, heat_growth_bound,
@@ -342,6 +342,16 @@ def test_banded_factor_overwrites_its_band_array(monkeypatch, mitosis_512):
     assert shared == [True]
 
 
+@pytest.mark.parametrize("kernel", [
+    PowerLawKernel(0.0),
+    CustomKernel(lambda x, y: 2.0 / y * np.ones_like(x), name="binary"),
+], ids=["banded", "dense"])
+def test_factor_of_a_singular_system_is_a_numerics_error(kernel):
+    bundle = assemble_bundle(build_mesh(40.0, 16), ConstantRate(1.0), kernel)
+    with pytest.raises(NumericsError, match="generator system is singular"):
+        operators.factor(bundle, 0.0, 0.0)     # the zero matrix
+
+
 # ---------------------------------------------------------------------------
 # heat kernel and exact propagator
 # ---------------------------------------------------------------------------
@@ -397,6 +407,20 @@ def test_heat_apply_rejects_nonpositive_time(mesh_512):
     f = State(values=np.ones(mesh_512.n_cells), mesh=mesh_512)
     with pytest.raises(ConfigError):
         heat_apply_exact(f, 0.0)
+
+
+@pytest.mark.parametrize("x_max,n_cells", [(1.0, 32), (10.0, 64), (40.0, 256), (100.0, 512)])
+def test_heat_apply_keeps_nonnegative_data_nonnegative_unclamped(x_max, n_cells):
+    # no clamp: (x - y)^2 <= (x + y)^2 survives rounding, so the image kernel
+    # is >= 0 in floating point and so are its products with nonnegative data
+    mesh = build_mesh(x_max, n_cells)
+    x = mesh.centers / x_max
+    profiles = [np.exp(-x), x * np.exp(-10.0 * x), np.exp(-((x - 0.5) / 0.05) ** 2),
+                (x < 0.1) * 1.0, np.random.default_rng(0).random(n_cells)]
+    for values in profiles:
+        for t in np.geomspace(1e-4, 1e6, 7):
+            out = heat_apply_exact(State(values=values, mesh=mesh), t)
+            assert out.values.min() >= 0.0
 
 
 def test_growth_bound_values():

@@ -114,6 +114,14 @@ def test_spectral_gap_requires_positive_rate(mesh_512):
         spectral_gap(bundle)
 
 
+def test_spectral_gap_rejects_a_subdominant_mode_that_does_not_decay(monkeypatch,
+                                                                     linear_rate_512):
+    monkeypatch.setattr("fragdiff.spectral.subdominant_spectrum",
+                        lambda bundle, k: np.array([1e-3 + 0j, -1.0 + 0j]))
+    with pytest.raises(PropertyViolation, match="nonpositive spectral gap -1.000e-03"):
+        spectral_gap(linear_rate_512)
+
+
 def test_decay_rate_matches_gap(linear_rate_512):
     mesh = linear_rate_512.mesh
     steady = solve_steady(linear_rate_512).state

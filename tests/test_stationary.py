@@ -251,6 +251,13 @@ def test_regularized_rejects_vanishing_tail_rate():
         solve_steady_regularized(bundle, (4, 16))
 
 
+def test_regularized_accepts_a_positive_rate_below_one():
+    # the gate asks a > 0 on the outer decade, not the moment ceiling's a >= 1
+    bundle = assemble_bundle(build_mesh(40.0, 128), ConstantRate(0.5), PowerLawKernel(0.0))
+    result = solve_steady_regularized(bundle, (4, 16))
+    assert moment(result.limit, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_regularized_rejects_a_sequence_that_does_not_contract(monkeypatch, mitosis_512):
     # every lift gives the same profile: the pairwise distances stay at 0
     same = solve_steady(mitosis_512)
