@@ -38,17 +38,21 @@ _DELTA_Y = np.geomspace(1e-2, 1e2, 129)
 
 
 def power_integral(lo, hi, q: float):
-    """Elementwise integral of y^q over [lo, hi], with the log branch at q = -1.
+    """Elementwise integral of y^q over [lo, hi], free of cancellation near q = -1.
 
-    Entries with lo = 0 and q <= -1 come out infinite; callers that skip the
-    first cell never read them.
+    With e = q + 1 and span = log(hi / lo), the integral is
+    hi^e (1 - exp(-e span)) / e, which is span at e = 0.  Entries with lo = 0
+    and q <= -1 come out infinite; callers that skip the first cell never
+    read them.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    e = q + 1.0
     with np.errstate(divide="ignore"):
-        if abs(q + 1.0) < 1e-13:
-            return np.log(hi / lo)
-        return (hi ** (q + 1.0) - lo ** (q + 1.0)) / (q + 1.0)
+        span = np.log1p((hi - lo) / lo)
+    if e == 0.0:
+        return span
+    return hi ** e * -np.expm1(-e * span) / e
 
 
 def _gauss_on(lo, hi, fn):
@@ -325,10 +329,10 @@ def delta_m(kernel: DaughterKernel, m: float) -> float:
         return (m - 1.0) / (kernel.nu + m + 1.0)
     ratios = np.array([float(kernel.fragment_moment(m, y)) / y ** m for y in _DELTA_Y])
     value = 1.0 - float(np.max(ratios))
-    if value <= 0.0:
+    if not 0.0 < value < 1.0:
         raise PropertyViolation(
-            f"kernel admits no moment contraction at m = {m} (defect {value:.3e})")
-    return min(value, 1.0)
+            f"contraction defect at m = {m} is {value:.3e}, outside (0, 1)")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ x-weighted sum telescope exactly, so diffusion changes total mass only
 through the truncation boundary at x_max.
 
 Birth weights apportion fragment MASS exactly: donors in cell j are spread
-over their cell, and the fragment mass a donor places in receiver cell i is
-integrated in closed form (power-law kernels) or by Gauss quadrature.
-Fragments that land inside the donor's own cell cancel part of its death
-instead of appearing in the strictly upper triangle, so for every donor
+over their cell, and the fragment mass a donor places in receiver cell i < j
+is integrated in closed form (power-law kernels) or by Gauss quadrature.
+A donor's effective death is the mass it sends below its cell, so for every
+donor
 
-    birth mass rate  =  effective death mass rate      (exactly),
+    birth mass rate  =  effective death mass rate      (by construction),
 
 and the conservation defect of the full generator is the boundary flux
 alone.  Cell averages of a are mass-weighted for the same reason.
@@ -162,10 +162,10 @@ def _assemble_birth_powerlaw(mesh: Mesh, rate: RateModel,
     # has no receivers below it, so its entry is never used.
     donor = np.zeros(n)
     donor[1:] = rate.cell_integrals(edges, -nu - 1.0)[1:]
-    if np.any(donor < 0) or np.any(receiver < 0):
+    if np.any(donor < 0):
         raise PropertyViolation("negative birth weight from inadmissible coefficients")
-    # in-cell fragments cancel death down to x_{i-1}^(nu+2) * donor_i / (xbar dx);
-    # donor 1 keeps all its fragments and loses nothing.
+    # death_j is the mass donor j sends below its cell: the receiver weights
+    # times xbar dx telescope to x_j^(nu+2) * donor_j; donor 0 sends nothing.
     death = np.zeros(n)
     death[1:] = edges[1:-1] ** (nu + 2.0) * donor[1:] / (xc[1:] * dx[1:])
     return BirthOperator(death=death, receiver=receiver, donor=donor)
@@ -179,26 +179,18 @@ def _assemble_birth_custom(mesh: Mesh, rate: RateModel,
     y_nodes = xc[:, None] + half[:, None] * _GAUSS_NODES[None, :]   # (n, q)
     y_weights = half[:, None] * _GAUSS_WEIGHTS[None, :]
     a_nodes = rate(y_nodes)
-    mass_prod = np.sum(y_weights * a_nodes * y_nodes, axis=1)       # int a(y) y dy
     applied = np.zeros((n, n))
     death = np.zeros(n)
-    for j in range(n):
-        # fragment mass below edges 1..j+1 per node (0 below edge 0), where edge
-        # j+1 >= y counts as the donor itself: the differences are the mass sent
-        # to cells 0..j-1 and kept in cell j
-        upto = edges[1:j + 2]
-        below = np.array([kernel.fragment_mass_below(upto, y) for y in y_nodes[j]])
-        mass_to = (y_weights[j] * a_nodes[j]) @ np.diff(below, axis=1, prepend=0.0)
-        raw_total = mass_to.sum()
-        if raw_total <= 0.0:
-            continue
-        # enforce exact balance against the quadrature defect
-        mass_to *= mass_prod[j] / raw_total
-        applied[:j, j] = mass_to[:j] / (xc[:j] * dx[:j])
-        death[j] = (mass_prod[j] - mass_to[j]) / (xc[j] * dx[j])
-    if np.any(applied < 0) or np.any(death < -1e-14):
+    for j in range(1, n):
+        # fragment mass below edges 1..j per node (0 below edge 0): the
+        # differences are the mass sent to cells 0..j-1, and death is its sum
+        below = np.array([kernel.fragment_mass_below(edges[1:j + 1], y) for y in y_nodes[j]])
+        sent = (y_weights[j] * a_nodes[j]) @ np.diff(below, axis=1, prepend=0.0)
+        applied[:j, j] = sent / (xc[:j] * dx[:j])
+        death[j] = sent.sum() / (xc[j] * dx[j])
+    if np.any(applied < 0):
         raise PropertyViolation("negative birth weight from inadmissible coefficients")
-    return BirthOperator(death=np.maximum(death, 0.0), dense_applied=applied)
+    return BirthOperator(death=death, dense_applied=applied)
 
 
 def assemble_birth(mesh: Mesh, rate: RateModel, kernel: DaughterKernel) -> BirthOperator:
@@ -216,14 +208,13 @@ class OperatorBundle:
     birth: BirthOperator
     rate: RateModel
     kernel: DaughterKernel
-    diffusion_rate: float = 1.0
 
     @property
     def death(self) -> np.ndarray:
         return self.birth.death
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.diffusion.apply(v) - self.death * v + self.birth.apply(v)
+        return self.diffusion.apply(v) + self.apply_reaction(v)
 
     def apply_reaction(self, v: np.ndarray) -> np.ndarray:
         out = self.birth.apply(v)
@@ -307,8 +298,7 @@ def assemble_bundle(mesh: Mesh, rate: RateModel, kernel: DaughterKernel,
                     right_bc: str = "noflux", diffusion_rate: float = 1.0) -> OperatorBundle:
     diffusion = assemble_diffusion(mesh, right_bc, diffusion_rate)
     birth = assemble_birth(mesh, rate, kernel)
-    return OperatorBundle(mesh=mesh, diffusion=diffusion, birth=birth,
-                          rate=rate, kernel=kernel, diffusion_rate=diffusion_rate)
+    return OperatorBundle(mesh=mesh, diffusion=diffusion, birth=birth, rate=rate, kernel=kernel)
 
 
 def apply_generator(bundle: OperatorBundle, state: State) -> State:

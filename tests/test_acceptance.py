@@ -94,7 +94,7 @@ def check_mass_ledger(mesh, kernel, scheme):
     dt = 2.5e-4
     trajectory = evolve(bundle, initial, IntegratorConfig(scheme=scheme, dt=dt, t_end=0.5))
     edge = np.array([initial.values[-1]] + [st.values[-1] for st in trajectory.states])
-    outflow = np.concatenate([[0.0], np.cumsum(bundle.diffusion_rate * dt * edge[1:])])
+    outflow = np.concatenate([[0.0], np.cumsum(dt * edge[1:])])
     mass1 = trajectory.moments[1.0]
     residual = float(np.max(np.abs(mass1 - mass1[0] + outflow)))
     drift = float(np.max(np.abs(mass1 - mass1[0])))

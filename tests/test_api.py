@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fragdiff
-from fragdiff.checks import check_gain_smallness
+from fragdiff.checks import WeightSpec, check_gain_smallness
 from fragdiff.mesh import moment_of, norm_row
 
 
@@ -72,6 +72,7 @@ NAN_CASES = {
     "check_gain_smallness": (lambda: check_gain_smallness(
         fragdiff.assemble_bundle(MESH, fragdiff.ConstantRate(1.0), fragdiff.PowerLawKernel(0.0)),
         fragdiff.State(np.ones(MESH.n_cells), MESH), NAN), "m > 1"),
+    "WeightSpec": (lambda: WeightSpec(cap=NAN), "cap must be positive"),
     "verify_mass_condition": (lambda: fragdiff.verify_mass_condition(
         fragdiff.PowerLawKernel(0.0), [1.0, NAN]), "donor samples"),
     "fragment_moment": (lambda: fragdiff.PowerLawKernel(0.0).fragment_moment(NAN, 1.0),

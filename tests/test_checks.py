@@ -258,6 +258,24 @@ def test_gain_smallness_linear_rate():
     assert np.all(np.diff(report.ratio) >= 0)
 
 
+def test_gain_smallness_needs_a_nonzero_profile():
+    mesh = build_mesh(40.0, 64)
+    bundle = assemble_bundle(mesh, ConstantRate(1.0), PowerLawKernel(0.0))
+    with pytest.raises(ConfigError, match="nonzero profile"):
+        check_gain_smallness(bundle, State(values=np.zeros(mesh.n_cells), mesh=mesh), m=2.0)
+
+
+def test_gain_smallness_fails_when_the_gain_crosses_one_in_the_first_step():
+    mesh = build_mesh(40.0, 256)
+    bundle = assemble_bundle(mesh, ConstantRate(5000.0), PowerLawKernel(0.0))
+    f = State(values=mesh.centers * np.exp(-mesh.centers), mesh=mesh)
+    with pytest.warns(UserWarning, match="positivity budget"):
+        report = check_gain_smallness(bundle, f, m=2.0)
+    assert report.status == "fail"
+    assert report.crossing_time == report.t_grid[1]
+    assert report.ratio_at_end >= 1.0
+
+
 def test_gain_smallness_time_grid_ends_at_t_max():
     mesh = build_mesh(40.0, 64)
     bundle = assemble_bundle(mesh, ConstantRate(1.0), PowerLawKernel(0.0))

@@ -5,8 +5,9 @@ from numpy.polynomial.legendre import leggauss
 from fragdiff import (ConfigError, ConstantRate, CustomKernel,
                       PowerLawKernel, PowerRate,
                       PropertyViolation, RegularizedRate, ShiftedPowerRate,
-                      TableRate, delta_m, moment_ceiling,
-                      verify_mass_condition)
+                      TableRate, assemble_bundle, build_mesh, delta_m,
+                      moment_ceiling, solve_steady, verify_mass_condition,
+                      x1_distance)
 from fragdiff.coefficients import power_integral
 
 
@@ -58,6 +59,17 @@ def test_delta_for_custom_kernel_matches_powerlaw():
     assert delta_m(mimic, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-8)
 
 
+def test_delta_outside_the_unit_interval_raises():
+    # mass exact (int x b = y) but b < 0 near x = y: the second and third
+    # moment ratios are -1/6 and -1/2, so the defect would exceed 1
+    signed = CustomKernel(lambda x, y: (22.0 - 30.0 * x / y) / y, name="signed")
+    for m in (2.0, 3.0):
+        with pytest.raises(PropertyViolation, match="outside \\(0, 1\\)"):
+            delta_m(signed, m)
+    with pytest.raises(PropertyViolation, match="outside"):
+        moment_ceiling(PowerRate(1.0), signed, 3.0, 40.0)
+
+
 # ---------------------------------------------------------------------------
 # mass condition
 # ---------------------------------------------------------------------------
@@ -103,6 +115,15 @@ def test_fragment_mass_below_stops_at_the_donor_size():
         assert below[0] < 1.0
 
 
+def test_custom_kernel_density_is_fn_below_the_donor_size():
+    def fn(x, y):
+        return 3.0 * x / y ** 2
+
+    x = np.array([0.1, 1.0, 1.9, 2.0, 3.0])
+    density = CustomKernel(fn, name="linear-frag").density(x, 2.0)
+    assert np.array_equal(density, np.r_[fn(x[:3], 2.0), 0.0, 0.0])
+
+
 @pytest.mark.parametrize("p", [2.0, 6.0])
 def test_custom_kernel_integrals_match_closed_forms(p):
     # b = (p+2) x^p y^(-p-1), outside the power-law family's nu <= 0
@@ -125,6 +146,36 @@ def test_power_integral_closed_forms():
     hi = np.array([2.0, 4.0])
     assert power_integral(lo, hi, -1.0) == pytest.approx(np.log(2.0), rel=1e-14)
     assert power_integral(lo, hi, 1.0)[0] == pytest.approx(1.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("n_cells", [2048, 2 ** 18])
+def test_power_integral_keeps_its_digits_near_q_minus_one(n_cells):
+    # hi^e - lo^e over e = q + 1 cancels at small e; exprel does not
+    from scipy.special import exprel
+    edges = build_mesh(40.0, n_cells).edges
+    lo, hi = edges[1:-1], edges[2:]
+    span = np.log1p((hi - lo) / lo)
+    for e in (0.0, 1e-14, -1e-14, 1e-12, -1e-12, 1e-8, -1e-8, 1e-3, 0.5, 1.0, 2.0, 3.0):
+        oracle = lo ** e * span * exprel(e * span)
+        got = power_integral(lo, hi, e - 1.0)
+        assert np.max(np.abs(got - oracle) / oracle) <= 2e-15, e
+
+
+def test_power_integral_from_zero():
+    hi = np.array([2.0])
+    assert power_integral(np.array([0.0]), hi, 0.5) == pytest.approx(2.0 ** 1.5 / 1.5,
+                                                                     rel=1e-15)
+    for q in (-1.0, -1.5):
+        assert power_integral(np.array([0.0]), hi, q) == np.inf
+
+
+def test_kernel_exponent_near_zero_keeps_the_mitosis_steady_state():
+    # a change of 1e-12 in nu moves the profile by about 1e-12, not by the
+    # 1e-5 that a cancelling hi^e - lo^e at e = 1e-12 gives
+    mesh = build_mesh(40.0, 2048)
+    steady = [solve_steady(assemble_bundle(mesh, ConstantRate(1.0), PowerLawKernel(nu))).state
+              for nu in (0.0, -1e-12)]
+    assert x1_distance(*steady) <= 1e-10
 
 
 def test_cell_integrals_match_quadrature():

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from fragdiff import (ConfigError, ConstantRate, CustomKernel, NumericsError, PowerLawKernel,
-                      PowerRate, ShiftedPowerRate, State, apply_generator,
+                      PowerRate, ShiftedPowerRate, State, TableRate, apply_generator,
                       assemble_birth, assemble_bundle, assemble_diffusion,
                       build_mesh, heat_apply_exact, heat_growth_bound,
                       image_kernel_value, kernel_value, solve_steady,
@@ -150,6 +150,27 @@ def test_custom_kernel_birth_matches_powerlaw(rate, mesh):
     born = np.sum(xc * custom.birth.apply(phi) * dx)
     died = np.sum(xc * custom.death * phi * dx)
     assert born == pytest.approx(died, rel=1e-12)
+
+
+CUSTOM_KERNELS = {"binary": lambda x, y: 2.0 / y * np.ones_like(x),
+                  "near-parent": lambda x, y: 8.0 * x ** 6 / y ** 7,
+                  "parabolic": lambda x, y: 12.0 * x * (y - x) / y ** 3}
+
+
+@pytest.mark.parametrize("rate", [ConstantRate(1.0), PowerRate(1.0),
+                                  TableRate([0.0, 3.0, 7.0, 40.0], [0.5, 2.0, 0.2, 1.5])],
+                         ids=["constant", "linear", "table"])
+@pytest.mark.parametrize("mesh", [build_mesh(20.0, 64),
+                                  build_mesh(20.0, 64, "geometric", ratio=1.05)],
+                         ids=["uniform", "geometric"])
+@pytest.mark.parametrize("name", list(CUSTOM_KERNELS))
+def test_custom_kernel_death_is_the_mass_each_donor_sends(name, mesh, rate):
+    birth = assemble_birth(mesh, rate, CustomKernel(CUSTOM_KERNELS[name], name=name))
+    cell_mass = mesh.centers * mesh.widths
+    sent = cell_mass @ birth.applied_matrix()
+    lost = birth.death * cell_mass
+    assert sent[0] == lost[0] == 0.0
+    assert np.max(np.abs(sent[1:] - lost[1:]) / lost[1:]) <= 1e-15
 
 
 def test_zero_rate_gives_zero_birth(mesh_512):

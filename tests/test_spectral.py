@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import eig, svdvals
@@ -144,6 +146,20 @@ def test_decay_rate_not_applicable_at_equilibrium(linear_rate_512):
     trajectory = evolve(linear_rate_512, steady, config, reference=steady)
     fit = decay_rate(trajectory, steady)
     assert fit.status in ("not_applicable", "no_decay")
+
+
+@pytest.mark.parametrize("tail, status", [
+    (np.full(20, 1e-12), "not_applicable"),                 # below the window at once
+    (np.geomspace(1e-4, 1e-3, 20), "no_decay"),             # rising inside it
+], ids=["not-applicable", "no-decay"])
+def test_decay_rate_status_from_the_distance_series(linear_rate_512, tail, status):
+    steady = solve_steady(linear_rate_512).state
+    trajectory = evolve(linear_rate_512, steady, IntegratorConfig(dt=0.01, t_end=0.2),
+                        reference=steady)
+    dist = np.r_[1.0, tail]
+    fit = decay_rate(replace(trajectory, times=0.01 * np.arange(dist.size), dist_ref=dist),
+                     steady)
+    assert fit.status == status and fit.nu_hat is None
 
 
 def test_decay_rate_needs_a_run_with_the_reference(linear_rate_512):

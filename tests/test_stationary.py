@@ -141,6 +141,26 @@ def test_degenerate_tail_response_is_a_numerics_error(mitosis_512, tail):
         _steady(mitosis_512, lambda rhs: tail(rhs.size), 1.0)
 
 
+def test_overflowing_steady_profile_is_a_numerics_error(mitosis_512):
+    # a finite response scaled to mass 1e308 overflows every entry; tiny, not
+    # zero, entries keep 0 * inf from warning before the raise
+    def tail(rhs):
+        return np.r_[1.0, np.full(rhs.size - 1, 1e-300)]
+
+    with pytest.raises(NumericsError, match="steady profile is not finite"):
+        _steady(mitosis_512, tail, 1e308)
+
+
+def test_negative_steady_profile_is_a_property_violation(mitosis_512):
+    def dipping(rhs):
+        u = np.exp(-mitosis_512.mesh.centers)
+        u[10] = -2e-10
+        return u
+
+    with pytest.raises(PropertyViolation, match="negative part"):
+        _steady(mitosis_512, dipping, 1.0)
+
+
 def test_steady_linear_rate_profile(linear_rate_1024):
     result = solve_steady(linear_rate_1024)
     values = result.state.values

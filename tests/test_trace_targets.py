@@ -72,3 +72,14 @@ def test_custom_stepper_applies_the_reaction_once(bundles, monkeypatch):
     calls = _counting(monkeypatch, OperatorBundle, "apply_reaction")
     Stepper(bundles["custom"], 1e-3)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["power-law", "custom"])
+def test_generator_apply_goes_through_apply_reaction(bundles, monkeypatch, kind):
+    # the evolve-presets workload reaches operators.apply_reaction_us through
+    # the steady residual's one bundle.apply
+    from fragdiff.operators import OperatorBundle
+    calls = _counting(monkeypatch, OperatorBundle, "apply_reaction")
+    bundle = bundles[kind]
+    bundle.apply(np.exp(-bundle.mesh.centers))
+    assert len(calls) == 1
