@@ -11,11 +11,10 @@ spectral gap, exponential relaxation) numerically.
 
 __version__ = "0.1.0"
 
-from .coefficients import (ConstantRate, CustomKernel, DaughterKernel,
-                           MassConditionReport, MomentCeiling, PowerLawKernel,
-                           PowerRate, RateModel, RegularizedRate,
-                           ShiftedPowerRate, TableRate, delta_m,
-                           moment_ceiling, verify_mass_condition)
+from .coefficients import (ConstantRate, CustomKernel, MassConditionReport,
+                           MomentCeiling, PowerLawKernel, PowerRate, RateModel,
+                           RegularizedRate, ShiftedPowerRate, TableRate,
+                           delta_m, moment_ceiling, verify_mass_condition)
 from .errors import ConfigError, NumericsError, PropertyViolation
 from .evolution import IntegratorConfig, Stepper, Trajectory, default_dt, evolve
 from .mesh import (Mesh, State, build_mesh, mass, moment, tail_mass_fraction,
@@ -33,7 +32,7 @@ __all__ = [
     "build_mesh", "Mesh", "State", "moment", "mass", "weighted_norm",
     "x1_distance", "tail_mass_fraction",
     "RateModel", "ConstantRate", "PowerRate", "ShiftedPowerRate", "TableRate",
-    "RegularizedRate", "DaughterKernel", "PowerLawKernel", "CustomKernel",
+    "RegularizedRate", "PowerLawKernel", "CustomKernel",
     "delta_m", "verify_mass_condition", "moment_ceiling", "MomentCeiling",
     "MassConditionReport",
     "assemble_diffusion", "assemble_birth", "assemble_bundle", "OperatorBundle",

@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from .coefficients import delta_m
 from .errors import ConfigError, NumericsError
 from .evolution import positivity_budget
 from .mesh import State, moment_row, norm_row, weighted_norm_of
@@ -358,10 +359,10 @@ def kernel_positivity_samples(rng: np.random.Generator, n_samples: int = 500) ->
     }
 
 
-def birth_domination(bundle: OperatorBundle, values: np.ndarray, m: float,
-                     delta: float) -> dict:
-    """Gain strictly dominated by weighted loss: |B f|_{X_m} <= (1-delta)|a f|_{X_m}."""
+def birth_domination(bundle: OperatorBundle, values: np.ndarray, m: float) -> dict:
+    """Gain strictly dominated by weighted loss: |B f|_{X_m} <= (1-delta_m)|a f|_{X_m}."""
     mesh, absolute = bundle.mesh, np.abs(values)
+    delta = delta_m(bundle.kernel, m)
     row = moment_row(mesh, m)
     lhs = float(row @ np.abs(bundle.birth.apply(absolute)))
     rhs = (1.0 - delta) * float(row @ (bundle.rate(mesh.centers) * absolute))

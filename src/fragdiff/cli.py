@@ -26,7 +26,8 @@ from . import __version__
 from .checks import (WeightSpec, birth_domination, check_gain_smallness,
                      check_interpolation, check_kato, default_catalog,
                      kernel_positivity_samples)
-from .coefficients import delta_m
+# re-exported: perfbench/spans.py traces delta_m here
+from .coefficients import delta_m  # noqa: F401
 from .config import (RunConfig, build_initial, build_integrator, build_n_sequence,
                      parse_config, preset_config)
 from .errors import ConfigError, NumericsError, PropertyViolation
@@ -142,10 +143,9 @@ def _task_checks(cfg: RunConfig, bundle, out: Path, diag: list) -> None:
     failures += gain.status == "fail"
     _record(diag, "gain_smallness", m=2.0, crossing_time=gain.crossing_time,
             ratio_at_end=gain.ratio_at_end, status=gain.status)
-    delta2 = delta_m(bundle.kernel, 2.0)
     for _ in range(5):
         values = rng.random(bundle.mesh.n_cells) * np.exp(-0.3 * xc)
-        dom = birth_domination(bundle, values, 2.0, delta2)
+        dom = birth_domination(bundle, values, 2.0)
         failures += not dom["ok"]
         _record(diag, "birth_domination", **dom)
     if failures:

@@ -13,7 +13,9 @@ and for m > 1 a contraction defect delta_m in (0,1) with
     integral_0^y  x^m b(x,y) dx  <=  (1 - delta_m) y^m.
 
 The built-in power-law family b(x,y) = (nu+2) x^nu y^(-nu-1), nu in (-2, 0],
-has delta_m = (m-1)/(nu+m+1) in closed form.
+has delta_m = (m-1)/(nu+m+1) in closed form.  Kernels given as callables are
+integrated on the one 64-node Gauss rule defined here: moments over [0, y],
+and, in the birth operator, fragment mass over each receiver cell.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConfigError, PropertyViolation
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(64)
-# the same rule on (0, 1): nodes u_k, and the weights w_k u_k / 2 of int_0^1 u g(u) du
+# the same rule on (0, 1)
 _UNIT_NODES = 0.5 * (_GAUSS_NODES + 1.0)
-_UNIT_MASS_WEIGHTS = 0.5 * _GAUSS_WEIGHTS * _UNIT_NODES
 # donor sizes and tolerance at which a CustomKernel's mass condition is checked
 _MASS_CHECK_Y = (0.01, 0.1, 1.0, 10.0, 100.0)
 _QUADRATURE_MASS_TOL = 1e-8
@@ -211,23 +212,8 @@ class RegularizedRate(RateModel):
 # daughter kernels
 # ---------------------------------------------------------------------------
 
-class DaughterKernel:
-    """Base class for daughter distributions b(x, y), supported on 0 < x < y."""
-
-    def density(self, x, y):
-        raise NotImplementedError
-
-    def fragment_mass_below(self, z, y):
-        """integral_0^z x b(x, y) dx for z >= 0; the support ends at y, so z > y gives y."""
-        raise NotImplementedError
-
-    def fragment_moment(self, m: float, y):
-        """integral_0^y x^m b(x, y) dx."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PowerLawKernel(DaughterKernel):
+class PowerLawKernel:
     """b(x,y) = (nu+2) x^nu y^(-nu-1), nu in (-2, 0].
 
     The mass condition holds identically; nu = 0 is binary-style breakup
@@ -246,11 +232,8 @@ class PowerLawKernel(DaughterKernel):
         out = (self.nu + 2.0) * x ** self.nu * y ** (-self.nu - 1.0)
         return np.where(x < y, out, 0.0)
 
-    def fragment_mass_below(self, z, y):
-        y = np.asarray(y, dtype=float)
-        return y ** (-self.nu - 1.0) * np.minimum(z, y) ** (self.nu + 2.0)
-
     def fragment_moment(self, m, y):
+        """integral_0^y x^m b(x, y) dx."""
         y = np.asarray(y, dtype=float)
         if not m + self.nu + 1.0 > 0.0:
             raise ConfigError("fragment moment diverges for m <= -nu - 1")
@@ -258,14 +241,14 @@ class PowerLawKernel(DaughterKernel):
 
 
 @dataclass(frozen=True)
-class CustomKernel(DaughterKernel):
+class CustomKernel:
     """Daughter distribution given as a callable; integrals by 64-node Gauss.
 
     `fn(x, y)` gets an array `x` of any shape and a float donor size `y`, and
-    returns b(x, y) elementwise.  Each integral over [0, c], c = min(z, y)
-    (mass below z) or c = y (moments), is one product of `fn` at the scaled
-    nodes x = c u_k with fixed weights: the Gauss nodes u_k on (0, 1) lie
-    inside the support 0 < x < y, so no mask is applied.
+    returns b(x, y) elementwise.  A moment over [0, y] is one product of `fn`
+    at the scaled nodes x = y u_k with fixed weights; the birth operator
+    integrates x b(x, y) over each receiver cell below the donor on the same
+    rule.  The nodes lie inside the support 0 < x < y, so no mask is applied.
 
     The mass condition is verified at construction on a log grid of donor
     sizes, to the quadrature's 1e-8, and the kernel is rejected (never
@@ -287,10 +270,6 @@ class CustomKernel(DaughterKernel):
         out = np.asarray(self.fn(x, y), dtype=float)
         return np.where(x < np.asarray(y), out, 0.0)
 
-    def fragment_mass_below(self, z, y):
-        c = np.minimum(z, y)
-        return c * c * (self.fn(c[..., None] * _UNIT_NODES, y) @ _UNIT_MASS_WEIGHTS)
-
     def fragment_moment(self, m, y):
         weights = 0.5 * _GAUSS_WEIGHTS * _UNIT_NODES ** m
         return y ** (m + 1.0) * (self.fn(y * _UNIT_NODES, y) @ weights)
@@ -304,20 +283,20 @@ class MassConditionReport:
     passed: bool
 
 
-def verify_mass_condition(kernel: DaughterKernel, y_samples,
+def verify_mass_condition(kernel: PowerLawKernel | CustomKernel, y_samples,
                           tol: float = 1e-10) -> MassConditionReport:
     """Relative defect |int x b dx - y| / y over donor samples."""
     ys = np.asarray(y_samples, dtype=float)
     if not np.all(ys > 0):
         raise ConfigError("donor samples must be positive")
-    masses = np.array([float(kernel.fragment_mass_below(y, y)) for y in ys])
+    masses = np.array([float(kernel.fragment_moment(1.0, y)) for y in ys])
     defects = np.abs(masses - ys) / ys
     worst = int(np.argmax(defects))
     return MassConditionReport(max_defect=float(defects[worst]), worst_y=float(ys[worst]),
                                tol=tol, passed=bool(defects[worst] <= tol))
 
 
-def delta_m(kernel: DaughterKernel, m: float) -> float:
+def delta_m(kernel: PowerLawKernel | CustomKernel, m: float) -> float:
     """Contraction defect of the m-th fragment moment, in (0, 1).
 
     Closed form for the power-law family; for custom kernels a supremum over
@@ -349,7 +328,7 @@ class MomentCeiling:
     mu: float
 
 
-def moment_ceiling(rate: RateModel, kernel: DaughterKernel, m: float,
+def moment_ceiling(rate: RateModel, kernel: PowerLawKernel | CustomKernel, m: float,
                    x_max_probe: float) -> MomentCeiling:
     """Ceiling for the m-th moment along trajectories, for rates that grow.
 

@@ -147,9 +147,9 @@ class Stepper:
 
             self._map = imex
         else:
-            # a dense gain makes the step dense anyway: one matrix, the step applied
-            # to the identity: dt w K off the diagonal, keep on it (K's diagonal is 0)
-            explicit = (dt * w)[:, None] * bundle.apply_reaction(np.eye(len(w)))
+            # a dense gain makes the step dense anyway: one matrix, dt w K off
+            # the diagonal and keep on it (K's diagonal is 0)
+            explicit = (dt * w)[:, None] * birth.dense_applied
             np.fill_diagonal(explicit, keep)
             matrix = solve(explicit)
             self._map = lambda values, out: np.matmul(matrix, values, out=out)

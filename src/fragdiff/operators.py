@@ -14,9 +14,10 @@ through the truncation boundary at x_max.
 
 Birth weights apportion fragment MASS exactly: donors in cell j are spread
 over their cell, and the fragment mass a donor places in receiver cell i < j
-is integrated in closed form (power-law kernels) or by Gauss quadrature.
-A donor's effective death is the mass it sends below its cell, so for every
-donor
+is integrated over that cell, in closed form (power-law kernels) or by Gauss
+quadrature on the cell itself, so no weight is a difference of cumulative
+masses.  A donor's effective death is the mass it sends below its cell, so
+for every donor
 
     birth mass rate  =  effective death mass rate      (by construction),
 
@@ -42,12 +43,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import blas, lapack
 
-from .coefficients import DaughterKernel, PowerLawKernel, RateModel
+from .coefficients import _GAUSS_NODES as _CELL_NODES, _GAUSS_WEIGHTS as _CELL_WEIGHTS
+from .coefficients import CustomKernel, PowerLawKernel, RateModel
 from .errors import ConfigError, NumericsError, PropertyViolation
 from .mesh import Mesh, State, require_same_mesh
 
 RIGHT_BCS = ("noflux", "dirichlet")
-_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(24)
+_DONOR_NODES, _DONOR_WEIGHTS = leggauss(24)
 
 
 @dataclass(frozen=True)
@@ -172,20 +174,22 @@ def _assemble_birth_powerlaw(mesh: Mesh, rate: RateModel,
 
 
 def _assemble_birth_custom(mesh: Mesh, rate: RateModel,
-                           kernel: DaughterKernel) -> BirthOperator:
-    edges, xc, dx = mesh.edges, mesh.centers, mesh.widths
+                           kernel: CustomKernel) -> BirthOperator:
+    xc, dx = mesh.centers, mesh.widths
     n = mesh.n_cells
-    half = 0.5 * dx
-    y_nodes = xc[:, None] + half[:, None] * _GAUSS_NODES[None, :]   # (n, q)
-    y_weights = half[:, None] * _GAUSS_WEIGHTS[None, :]
-    a_nodes = rate(y_nodes)
+    half = 0.5 * dx[:, None]
+    # donors on a 24-node rule per cell; receivers on the kernel's 64-node
+    # rule per cell, weighted by x dx so each sum is a cell's fragment mass
+    y_nodes = xc[:, None] + half * _DONOR_NODES
+    y_weights = half * _DONOR_WEIGHTS * rate(y_nodes)
+    x_nodes = xc[:, None] + half * _CELL_NODES
+    x_weights = x_nodes * half * _CELL_WEIGHTS
     applied = np.zeros((n, n))
     death = np.zeros(n)
     for j in range(1, n):
-        # fragment mass below edges 1..j per node (0 below edge 0): the
-        # differences are the mass sent to cells 0..j-1, and death is its sum
-        below = np.array([kernel.fragment_mass_below(edges[1:j + 1], y) for y in y_nodes[j]])
-        sent = (y_weights[j] * a_nodes[j]) @ np.diff(below, axis=1, prepend=0.0)
+        # mass each donor node sends to cells 0..j-1, all below it; death is the sum
+        masses = [np.vecdot(kernel.fn(x_nodes[:j], y), x_weights[:j]) for y in y_nodes[j]]
+        sent = y_weights[j] @ masses
         applied[:j, j] = sent / (xc[:j] * dx[:j])
         death[j] = sent.sum() / (xc[j] * dx[j])
     if np.any(applied < 0):
@@ -193,7 +197,8 @@ def _assemble_birth_custom(mesh: Mesh, rate: RateModel,
     return BirthOperator(death=death, dense_applied=applied)
 
 
-def assemble_birth(mesh: Mesh, rate: RateModel, kernel: DaughterKernel) -> BirthOperator:
+def assemble_birth(mesh: Mesh, rate: RateModel,
+                   kernel: PowerLawKernel | CustomKernel) -> BirthOperator:
     if isinstance(kernel, PowerLawKernel):
         return _assemble_birth_powerlaw(mesh, rate, kernel)
     return _assemble_birth_custom(mesh, rate, kernel)
@@ -207,7 +212,7 @@ class OperatorBundle:
     diffusion: Tridiagonal
     birth: BirthOperator
     rate: RateModel
-    kernel: DaughterKernel
+    kernel: PowerLawKernel | CustomKernel
 
     @property
     def death(self) -> np.ndarray:
@@ -294,7 +299,7 @@ def factor(bundle: OperatorBundle, alpha: float,
     return solve
 
 
-def assemble_bundle(mesh: Mesh, rate: RateModel, kernel: DaughterKernel,
+def assemble_bundle(mesh: Mesh, rate: RateModel, kernel: PowerLawKernel | CustomKernel,
                     right_bc: str = "noflux", diffusion_rate: float = 1.0) -> OperatorBundle:
     diffusion = assemble_diffusion(mesh, right_bc, diffusion_rate)
     birth = assemble_birth(mesh, rate, kernel)

@@ -11,7 +11,7 @@ import pytest
 
 from fragdiff import (ConstantRate, CustomKernel, IntegratorConfig, PowerLawKernel,
                       PowerRate, State, assemble_bundle, build_mesh,
-                      decay_rate, delta_m, evolve, heat_apply_exact,
+                      decay_rate, evolve, heat_apply_exact,
                       heat_growth_bound, mass, moment_ceiling, solve_steady,
                       solve_steady_regularized, spectral_gap, weighted_norm,
                       x1_distance)
@@ -254,11 +254,10 @@ def test_criterion_7_inequality_suites(linear_rate_bundle):
     if not kernels["monotone_ok"]:
         violations.append(("kernel_monotonicity",))
     bundle = linear_rate_bundle
-    delta2 = delta_m(bundle.kernel, 2.0)
     for k in range(10):
         values = rng.random(bundle.mesh.n_cells) * np.exp(
             -rng.uniform(0.2, 0.8) * bundle.mesh.centers)
-        if not birth_domination(bundle, values, 2.0, delta2)["ok"]:
+        if not birth_domination(bundle, values, 2.0)["ok"]:
             violations.append(("domination", k))
     elapsed = time.perf_counter() - started
     ok = not violations and elapsed <= 60.0

@@ -105,16 +105,6 @@ def test_mass_condition_uses_the_given_tolerance():
     assert verify_mass_condition(kernel, [1.0, 2.0], tol=2e-9).passed
 
 
-def test_fragment_mass_below_stops_at_the_donor_size():
-    # b(., y) is supported on 0 < x < y, so the mass below any z >= y is y
-    binary = CustomKernel(lambda x, y: 2.0 / y * np.ones_like(x), name="binary")
-    for kernel in (PowerLawKernel(0.0), PowerLawKernel(-1.5), binary):
-        assert kernel.fragment_mass_below(2.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-        below = kernel.fragment_mass_below(np.array([0.5, 1.0, 3.0, 40.0]), 1.0)
-        assert below[1:] == pytest.approx([1.0, 1.0, 1.0], rel=1e-14)
-        assert below[0] < 1.0
-
-
 def test_custom_kernel_density_is_fn_below_the_donor_size():
     def fn(x, y):
         return 3.0 * x / y ** 2
@@ -129,9 +119,6 @@ def test_custom_kernel_integrals_match_closed_forms(p):
     # b = (p+2) x^p y^(-p-1), outside the power-law family's nu <= 0
     kernel = CustomKernel(lambda x, y: (p + 2.0) * x ** p * y ** (-p - 1.0), name="near-parent")
     for y in (0.01, 1.0, 7.3, 100.0):
-        for z in (0.1 * y, 0.5 * y, 0.999 * y, y):
-            exact = z ** (p + 2.0) * y ** (-p - 1.0)
-            assert abs(kernel.fragment_mass_below(z, y) - exact) <= 1e-13 * exact
         for m in (2.0, 3.0):
             exact = (p + 2.0) / (p + m + 1.0) * y ** m
             assert abs(kernel.fragment_moment(m, y) - exact) <= 1e-13 * exact

@@ -173,6 +173,44 @@ def test_custom_kernel_death_is_the_mass_each_donor_sends(name, mesh, rate):
     assert np.max(np.abs(sent[1:] - lost[1:]) / lost[1:]) <= 1e-15
 
 
+def _power_difference(hi, lo, p: int):
+    # hi^p - lo^p without cancellation: (hi - lo) sum_k hi^k lo^(p-1-k)
+    return (hi - lo) * sum(hi ** k * lo ** (p - 1 - k) for k in range(p))
+
+
+# integral of x b(x, y) over [lo, hi], for each kernel of CUSTOM_KERNELS
+CELL_MASS = {"binary": lambda hi, lo, y: _power_difference(hi, lo, 2) / y,
+             "near-parent": lambda hi, lo, y: _power_difference(hi, lo, 8) / y ** 7,
+             "parabolic": lambda hi, lo, y: (4 * y * _power_difference(hi, lo, 3)
+                                             - 3 * _power_difference(hi, lo, 4)) / y ** 3}
+
+
+@pytest.mark.parametrize("mesh", [build_mesh(40.0, 256),
+                                  build_mesh(20.0, 64, "geometric", ratio=1.05)],
+                         ids=["uniform", "geometric"])
+@pytest.mark.parametrize("name", list(CUSTOM_KERNELS))
+def test_custom_birth_weights_match_closed_forms_per_cell(name, mesh):
+    # each weight integrates x b(x, y) over its receiver cell, at the donor
+    # cell's 24 Gauss nodes y; the oracle takes the same donor rule and the
+    # cell integrals in closed form, in long double
+    birth = assemble_birth(mesh, PowerRate(1.0), CustomKernel(CUSTOM_KERNELS[name], name=name))
+    ld = np.longdouble
+    edges, xc, dx = mesh.edges.astype(ld), mesh.centers.astype(ld), mesh.widths.astype(ld)
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    half = 0.5 * mesh.widths[:, None]
+    y_nodes = mesh.centers[:, None] + half * nodes
+    y_weights = half.astype(ld) * weights.astype(ld) * y_nodes.astype(ld)    # a(y) = y
+    worst = 0.0
+    for j in range(1, mesh.n_cells):
+        y = y_nodes[j].astype(ld)
+        sent = CELL_MASS[name](edges[1:j + 1, None], edges[:j, None], y) @ y_weights[j]
+        exact = sent / (xc[:j] * dx[:j])
+        got = birth.dense_applied[:j, j]
+        assert np.all(got > 0.0)
+        worst = max(worst, float(np.max(np.abs(got - exact) / exact)))
+    assert worst <= 1e-14
+
+
 def test_zero_rate_gives_zero_birth(mesh_512):
     bundle_birth = assemble_birth(mesh_512, ConstantRate(1e-300), PowerLawKernel(0.0))
     assert np.max(bundle_birth.applied_matrix() / mesh_512.widths) < 1e-290
@@ -468,13 +506,11 @@ def test_heat_apply_growth_envelope(mesh_1024, rng):
 
 def test_birth_strict_domination(linear_rate_512, rng):
     # gain bounded by (1 - delta_2) times the weighted loss, m = 2
-    from fragdiff import delta_m
     from fragdiff.checks import birth_domination
-    delta = delta_m(linear_rate_512.kernel, 2.0)
     xc = linear_rate_512.mesh.centers
     for _ in range(10):
         values = rng.random(xc.size) * np.exp(-rng.uniform(0.1, 0.5) * xc)
-        report = birth_domination(linear_rate_512, values, 2.0, delta)
+        report = birth_domination(linear_rate_512, values, 2.0)
         assert report["ok"], report
 
 

@@ -65,12 +65,14 @@ def test_evolve_advances_once_per_step(bundles, monkeypatch, kind, scheme):
     assert len(calls) == 37 and steps == []
 
 
-def test_custom_stepper_applies_the_reaction_once(bundles, monkeypatch):
-    # the dense-generator workload reaches operators.apply_reaction_us only here
-    from fragdiff.evolution import Stepper
+@pytest.mark.parametrize("kind", ["power-law", "custom"])
+def test_steady_residual_goes_through_apply_reaction(bundles, monkeypatch, kind):
+    # both workloads reach operators.apply_reaction_us through every steady
+    # solve: its residual is one bundle.apply
+    from fragdiff import solve_steady
     from fragdiff.operators import OperatorBundle
     calls = _counting(monkeypatch, OperatorBundle, "apply_reaction")
-    Stepper(bundles["custom"], 1e-3)
+    solve_steady(bundles[kind])
     assert len(calls) == 1
 
 
