@@ -28,9 +28,11 @@ a Z-matrix with a positive diagonal in the (phi_i, s_i) layout: when `dgbtrf`
 interchanges no row (the `dtbsv` path), L and U keep off-diagonals <= 0, and
 with diag(U) > 0 the sweeps add and divide nonnegative numbers.  `dgbtrf`
 pivoted only at dt = 1e4 in a survey, with no dip there either.
-`evolve` takes every recorded reduction of a block as one `np.vecdot` with a
-weight row built once per run, the same BLAS dot as the public reduction's,
-so the records equal them bit for bit.
+`evolve` steps in blocks of 256 KB, never fewer than RECORD_BLOCK rows, so a
+small mesh pays the per-block calls once per hundreds of states.  It takes
+every recorded reduction of a block as one `np.vecdot` with a weight row
+built once per run, the same BLAS dot as the public reduction's, so the
+records equal them bit for bit, and keeps a block's states by one copy.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ from .mesh import (State, moment_of, moment_row, require_count,  # noqa: F401
 from .operators import OperatorBundle, factor
 
 SCHEMES = ("imex_euler", "fully_implicit")
-RECORD_BLOCK = 16   # states per recording block: 256 KB at N = 2048
+RECORD_BLOCK = 16   # fewest states per recording block: 256 KB at N = 2048
+RECORD_BYTES = 1 << 18  # bytes per recording block where that takes more rows
 SERIES = 8  # float64 series evolve keeps per step: t, 4 moments, drift, tail, X1 distance
 
 
@@ -107,6 +110,11 @@ class IntegratorConfig:
         return self.dt or self.t_end / n_steps, n_steps
 
 
+def record_rows(n_cells: int) -> int:
+    """Rows per recording block: RECORD_BYTES of them, never fewer than RECORD_BLOCK."""
+    return max(RECORD_BLOCK, RECORD_BYTES // (8 * n_cells))
+
+
 def default_dt(bundle: OperatorBundle) -> float:
     """min(0.25 h_min^2, 0.5 / max death): conservative accuracy/positivity cap."""
     h_min = float(np.min(bundle.mesh.widths))
@@ -152,7 +160,7 @@ class Stepper:
             explicit = (dt * w)[:, None] * birth.dense_applied
             np.fill_diagonal(explicit, keep)
             matrix = solve(explicit)
-            self._map = lambda values, out: np.matmul(matrix, values, out=out)
+            self._map = matrix.dot     # called as (values, out)
 
     def advance(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The state dt after values, unchecked: in out (a contiguous row) if given."""
@@ -228,7 +236,8 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
     tail, sums = np.zeros(n_steps + 1), np.empty((len(orders), n_steps + 1))
     dist = np.empty(n_steps + 1) if reference is not None else None
     # preallocated: a fresh block-sized temporary per record costs page faults
-    block = np.empty((min(RECORD_BLOCK, n_steps), mesh.n_cells))
+    size = record_rows(mesh.n_cells)
+    block = np.empty((min(size, n_steps), mesh.n_cells))
     buffer = np.empty_like(block)
 
     values, every, stored = initial.values, config.output_every, []
@@ -252,14 +261,15 @@ def evolve(bundle: OperatorBundle, initial: State, config: IntegratorConfig,
 
     block[0] = values
     record(0, block[:1])
-    for start in range(1, n_steps + 1, RECORD_BLOCK):
-        rows = block[:min(RECORD_BLOCK, n_steps + 1 - start)]
+    for start in range(1, n_steps + 1, size):
+        rows = block[:min(size, n_steps + 1 - start)]
         values = stepper.fill(rows, values)
         if signed:
             min_seen = min(min_seen, float(rows.min(initial=0.0)))
         record(start, rows)
-        for i in range(-start % every, len(rows), every):     # steps k = start + i
-            stored.append(State._checked(rows[i].copy(), mesh, float(times[start + i])))
+        first = -start % every     # kept: one copy of the rows, which the next fill reuses
+        kept = rows[first::every].copy(), times[start:start + len(rows)][first::every].tolist()
+        stored += [State._checked(row, mesh, t) for row, t in zip(*kept)]
     if n_steps % every:     # the final state is kept too
         stored.append(State._checked(values, mesh, float(times[-1])))
 

@@ -260,11 +260,15 @@ def factor(bundle: OperatorBundle, alpha: float,
 
     Power-law kernels: banded LU of the system in (phi_i, s_i), half-bandwidth
     2; when partial pivoting interchanged no row, each solve is two `dtbsv`
-    sweeps (unit lower, then upper band), else `dgbtrs`.  Custom kernels: LU
-    of the same matrix built from `OperatorBundle.dense()`.  A singular
-    system raises NumericsError.  G itself (alpha = 0) is singular only up to
-    roundoff; were it exactly singular, G with the mass row in place of its
-    last row would be the alternative for the steady solves.
+    sweeps, else `dgbtrs`.  The unit-lower one runs on the N phi rows alone,
+    through L's second subdiagonal: the s rows have no entry left of the
+    diagonal, so L's s rows hold no multiplier, and the s right-hand sides are
+    0, so it skips only products with exact zeros and equals the 2N sweep
+    bit for bit.  Custom kernels: LU of the same matrix built from
+    `OperatorBundle.dense()`.  A singular system raises NumericsError.  G
+    itself (alpha = 0) is singular only up to roundoff; were it exactly
+    singular, G with the mass row in place of its last row would be the
+    alternative for the steady solves.
     """
     n = bundle.mesh.n_cells
     banded = bundle.birth.separable
@@ -279,11 +283,11 @@ def factor(bundle: OperatorBundle, alpha: float,
         return lambda rhs: lapack.dgetrs(lu, piv, rhs)[0]
     if np.array_equal(piv, np.arange(2 * n)):
         # no row interchange: U keeps 2 superdiagonals (its fill-in rows stay
-        # zero), and the sweeps skip dgbtrs's per-column swap and update calls
-        unit_lower, upper = np.asfortranarray(lu[4:]), np.asfortranarray(lu[2:5])
+        # zero); phi_lower[0] fills dtbsv's unit-diagonal row, which it never reads
+        phi_lower, upper = np.asfortranarray(lu[5:, ::2]), np.asfortranarray(lu[2:5])
 
         def sweeps(z):
-            z = blas.dtbsv(2, unit_lower, z, lower=1, diag=1, overwrite_x=1)
+            z[::2] = blas.dtbsv(1, phi_lower, z[::2], lower=1, diag=1)
             return blas.dtbsv(2, upper, z, overwrite_x=1)
     else:
         def sweeps(z):

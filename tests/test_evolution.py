@@ -11,7 +11,7 @@ from fragdiff import (ConfigError, ConstantRate, CustomKernel, IntegratorConfig,
                       State, Stepper, apply_generator, assemble_bundle, build_mesh,
                       default_dt, evolve, heat_apply_exact, mass, moment,
                       solve_steady, tail_mass_fraction, x1_distance)
-from fragdiff.evolution import RECORD_BLOCK, SCHEMES
+from fragdiff.evolution import RECORD_BLOCK, SCHEMES, record_rows
 from fragdiff.mesh import moment_of, x1_distance_of
 from fragdiff.operators import OperatorBundle, _interleaved_bands
 from conftest import exact_equilibrium
@@ -289,23 +289,35 @@ def test_a_run_that_dips_raises_at_every_scale(fine_geometric, scale):
     assert -1e-6 * scale < low < 0.0
 
 
-@pytest.mark.parametrize("n_steps", [1, RECORD_BLOCK - 1, RECORD_BLOCK, RECORD_BLOCK + 1,
-                                     2 * RECORD_BLOCK + 3])
+# run lengths around the bundle's block rows B, as (blocks, offset): n_steps
+# = blocks * B + offset.  Each id is that count at B = RECORD_BLOCK, the rows
+# of a 2048-cell block
+BLOCK_COUNTS = [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)]
+
+
+def test_record_rows_fill_a_fixed_byte_size():
+    # 256 KB blocks, and never fewer than RECORD_BLOCK rows
+    assert [record_rows(n) for n in (64, 512, 2048, 4096)] == [512, 64, 16, 16]
+
+
+@pytest.mark.parametrize("blocks, offset", BLOCK_COUNTS,
+                         ids=[str(b * RECORD_BLOCK + o) for b, o in BLOCK_COUNTS])
 @pytest.mark.parametrize("data", ["signed", "turning", "zero", "dipping",
                                   "custom-signed", "custom-turning", "custom-zero"])
 def test_recording_across_block_boundaries(mitosis_512, linear_rate_512, binary_custom,
-                                           data, n_steps):
-    # evolve records RECORD_BLOCK states at a time; a run may end anywhere in
-    # a block, and a block may hold signed and nonnegative states together.
+                                           data, blocks, offset):
+    # evolve records record_rows(N) states at a time; a run may end anywhere
+    # in a block, and a block may hold signed and nonnegative states together.
     # The custom bundle's step matrix is nonnegative, so it fills each block
     # by bare products and checks the block once
-    bundle, dt, dip = mitosis_512, 1e-3, (20.0, 0.0035, 23)   # center, depth, turning step
+    bundle, dt, dip = mitosis_512, 1e-3, (20.0, 0.0055, 86)   # center, depth, turning step
     if data.startswith("custom-"):
-        bundle, data, dip = binary_custom, data[len("custom-"):], (10.0, 0.075, 22)
+        bundle, data, dip = binary_custom, data[len("custom-"):], (10.0, 0.3, 571)
+    n_steps = blocks * record_rows(bundle.mesh.n_cells) + offset
     xc = bundle.mesh.centers
     if data == "signed":
         values = np.sin(xc) * np.exp(-0.3 * xc)
-    elif data == "turning":     # the dip fills in inside the second block
+    elif data == "turning":     # the dip fills in inside the second block (B = 64, 512)
         values = np.exp(-0.3 * xc) - dip[1] * np.exp(-((xc - dip[0]) / 0.3) ** 2)
     elif data == "zero":
         values = np.zeros(xc.size)
@@ -340,7 +352,7 @@ def _assert_evolve_matches_a_step_loop(bundle, values, dt, monkeypatch, referenc
     checks once per block: every stored state, every record and min_value
     equal a step() loop's bit for bit, with no step() in the run and one
     advance() into its row per step."""
-    mesh, n_steps = bundle.mesh, 3 * RECORD_BLOCK + 5
+    mesh, n_steps = bundle.mesh, 3 * record_rows(bundle.mesh.n_cells) + 5
     stepper = Stepper(bundle, dt, scheme)
     states = [values]
     for _ in range(n_steps):
@@ -379,6 +391,27 @@ def test_dense_evolve_matches_a_step_loop(binary_custom, monkeypatch, data):
     values = np.exp(-0.3 * mesh.centers) * (np.sin(mesh.centers) if data == "signed" else 1.0)
     trajectory = _assert_evolve_matches_a_step_loop(binary_custom, values, 1e-3, monkeypatch)
     assert (trajectory.min_value < 0.0) == (data == "signed")
+
+
+@pytest.mark.parametrize("every", ["1", "3", "B+1"])
+@pytest.mark.parametrize("custom", [False, True], ids=["mitosis", "custom"])
+def test_kept_states_do_not_alias_the_block(mitosis_512, binary_custom, custom, every):
+    # evolve refills one block; the states it keeps are one copy per block,
+    # so after the run each still holds its own step, bit for bit
+    bundle, dt = (binary_custom if custom else mitosis_512), 1e-3
+    rows = record_rows(bundle.mesh.n_cells)
+    every = rows + 1 if every == "B+1" else int(every)
+    n_steps, stepper = 2 * rows + 3, Stepper(bundle, dt)
+    states = [np.exp(-0.3 * bundle.mesh.centers)]
+    for _ in range(n_steps):
+        states.append(stepper.step(states[-1]))
+    run = evolve(bundle, State(values=states[0], mesh=bundle.mesh),
+                 IntegratorConfig(dt=dt, t_end=n_steps * dt, output_every=every))
+    kept = [k for k in range(1, n_steps + 1) if k % every == 0 or k == n_steps]
+    assert [state.time for state in run.states] == [run.times[k] for k in kept]
+    for state, k in zip(run.states, kept):
+        assert state.values.tobytes() == states[k].tobytes()
+    assert run.final.values.tobytes() == states[-1].tobytes()
 
 
 @pytest.fixture(scope="module")

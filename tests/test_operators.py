@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from fragdiff import (ConfigError, ConstantRate, CustomKernel, NumericsError, PowerLawKernel,
-                      PowerRate, ShiftedPowerRate, State, TableRate, apply_generator,
+                      PowerRate, ShiftedPowerRate, State, Stepper, TableRate, apply_generator,
                       assemble_birth, assemble_bundle, assemble_diffusion,
                       build_mesh, heat_apply_exact, heat_growth_bound,
                       image_kernel_value, kernel_value, solve_steady,
@@ -322,30 +322,49 @@ def test_band_rows_equal_entrywise_scatter(rate, alpha, beta):
     assert np.array_equal(got, _scattered_bands(bundle, alpha, beta))
 
 
-@pytest.mark.parametrize("alpha, beta", [(1.0, -1e-3), (-1.0, 1.0)])
+@pytest.mark.parametrize("alpha, beta", [(1.0, -1e-3), (-1.0, 1.0), (1.0, -1.0)])
 @pytest.mark.parametrize("grading, right_bc", [("uniform", "noflux"), ("geometric", "noflux"),
                                                ("uniform", "dirichlet")])
 @pytest.mark.parametrize("rate", [ConstantRate(1.0), PowerRate(1.0)],
                          ids=["mitosis", "linear-rate"])
 def test_pivot_free_factor_solves_by_band_sweeps(monkeypatch, rate, grading, right_bc,
                                                  alpha, beta, rng):
-    # I - dt G and G - I are negated M-matrices: partial pivoting interchanges
-    # no rows, and factor's two band sweeps give dgbtrs's result on the same LU
-    mesh = build_mesh(40.0, 512, grading, ratio=1.01 if grading == "geometric" else None)
-    bundle = assemble_bundle(mesh, rate, PowerLawKernel(0.0), right_bc=right_bc)
-    n, lapack = mesh.n_cells, operators.lapack
-    lu, piv, info = lapack.dgbtrf(operators._interleaved_bands(bundle, alpha, beta), 2, 2)
-    assert info == 0 and np.array_equal(piv, np.arange(2 * n))
-    rhs = rng.random(n)
-    z = np.zeros(2 * n)
-    z[::2] = rhs
-    expected = lapack.dgbtrs(lu, 2, 2, z, piv)[0][::2]
+    # I - dt G (dt = 1e-3 and fully_implicit's dt = 1) and G - I are negated
+    # M-matrices: partial pivoting interchanges no rows, and factor's sweeps,
+    # the unit-lower one on the phi rows alone, give dgbtrs's result on the
+    # same LU bit for bit
+    lapack = operators.lapack
+    dgbtrs = lapack.dgbtrs
 
     def unused(*args, **kwargs):
         raise AssertionError("dgbtrs called on a pivot-free LU")
 
     monkeypatch.setattr(lapack, "dgbtrs", unused)
-    assert np.array_equal(operators.factor(bundle, alpha, beta)(rhs), expected)
+    for n in (512, 2048):
+        mesh = build_mesh(40.0, n, grading, ratio=1.01 if grading == "geometric" else None)
+        bundle = assemble_bundle(mesh, rate, PowerLawKernel(0.0), right_bc=right_bc)
+        lu, piv, info = lapack.dgbtrf(operators._interleaved_bands(bundle, alpha, beta), 2, 2)
+        assert info == 0 and np.array_equal(piv, np.arange(2 * n))
+        rhs = rng.random(n)
+        z = np.zeros(2 * n)
+        z[::2] = rhs
+        expected = dgbtrs(lu, 2, 2, z, piv)[0][::2]
+        assert operators.factor(bundle, alpha, beta)(rhs).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pivot_free_solve_of_a_non_finite_rhs_is_not_finite(mitosis_2048, bad):
+    # the phi-only forward sweep skips the s rows, yet a NaN or inf in the
+    # right-hand side still spoils the solve, so fill raises on the implicit path
+    n = mitosis_2048.mesh.n_cells
+    piv = operators.lapack.dgbtrf(operators._interleaved_bands(mitosis_2048, 1.0, -1.0),
+                                  2, 2)[1]
+    assert np.array_equal(piv, np.arange(2 * n))
+    values = np.exp(-mitosis_2048.mesh.centers)
+    values[n // 3] = bad
+    assert not np.all(np.isfinite(operators.factor(mitosis_2048, 1.0, -1.0)(values)))
+    with pytest.raises(NumericsError, match="non-finite"):
+        Stepper(mitosis_2048, 1.0, "fully_implicit").fill(np.empty((2, n)), values)
 
 
 def test_pivoting_factor_keeps_dgbtrs(monkeypatch, linear_rate_512):

@@ -85,3 +85,21 @@ def test_generator_apply_goes_through_apply_reaction(bundles, monkeypatch, kind)
     bundle = bundles[kind]
     bundle.apply(np.exp(-bundle.mesh.centers))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind, t_end, fills", [("custom", 1.0, 2), ("power-law-2048", 0.1, 7)])
+def test_evolve_fills_blocks_of_a_fixed_byte_size(bundles, monkeypatch, kind, t_end, fills):
+    # 1,000 steps of the 64-cell custom bundle take two 512-row blocks, 100
+    # steps at N = 2048 seven 16-row ones: a change of the block rule shows
+    # as a count, not as timing noise
+    from fragdiff import (ConstantRate, IntegratorConfig, PowerLawKernel, State,
+                          assemble_bundle, build_mesh, evolve)
+    from fragdiff.evolution import Stepper
+    if kind == "custom":
+        bundle = bundles[kind]
+    else:
+        bundle = assemble_bundle(build_mesh(40.0, 2048), ConstantRate(1.0), PowerLawKernel(0.0))
+    calls = _counting(monkeypatch, Stepper, "fill")
+    initial = State(values=np.exp(-bundle.mesh.centers), mesh=bundle.mesh)
+    evolve(bundle, initial, IntegratorConfig(dt=1e-3, t_end=t_end))
+    assert len(calls) == fills
