@@ -34,9 +34,8 @@ import numpy as np
 
 from .coefficients import delta_m
 from .errors import ConfigError, NumericsError
-from .evolution import positivity_budget
 from .mesh import State, moment_row, norm_row, weighted_norm_of
-from .operators import OperatorBundle, image_kernel_value, kernel_value
+from .operators import OperatorBundle, image_kernel_value, kernel_value, positivity_budget
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
 # 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21): the positive Kronrod
@@ -316,7 +315,7 @@ def check_gain_smallness(bundle: OperatorBundle, initial: State,
         raise ConfigError("gain-smallness check needs a nonzero profile")
     dt, n_steps = _GAIN_DT, round(_GAIN_T_MAX / _GAIN_DT)
     # the absorption flow: implicit diffusion, explicit death (IMEX Euler without gain)
-    positivity_budget(bundle, dt, "imex_euler")      # warns beyond 1
+    positivity_budget(bundle, dt)      # warns beyond 1
     solve = bundle.diffusion.factor(-dt)    # takes w-weighted right-hand sides
     keep = bundle.diffusion.symmetriser * (1.0 - dt * bundle.death)
     values, row = initial.values, norm_row(mesh, m)     # weighted_norm_of's dot

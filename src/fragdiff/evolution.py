@@ -8,13 +8,9 @@ the truncation boundary.  Schemes:
     imex_euler      backward-Euler diffusion + forward reaction (default)
     fully_implicit  backward Euler on the whole generator (operators.factor)
 
-A `Stepper` factors its system once: imex_euler's diffusion system through
-`Tridiagonal.factor`, fully_implicit's whole generator through `factor`.
-The imex_euler solve takes right-hand sides weighted by the symmetriser w,
-dt w B v + keep v with keep = w (1 - dt d).  For a power-law kernel each step
-forms that in place and runs one `pttrs`; a custom kernel's gain is a dense
-matrix, so its step is too: the stepper applies the step to the identity
-once, and each step is one product with that matrix M.
+A `Stepper` builds its step map once in `operators`: imex_euler's by
+`imex_step` (one `pttrs`, or one product with a custom kernel's matrix M),
+fully_implicit's as a solve through `factor`.
 
 `Stepper.fill`, the one stepping loop, writes each state of a block into its
 row and checks the block once: a non-finite state raises NumericsError, a
@@ -39,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +44,7 @@ from .errors import ConfigError, NumericsError, PropertyViolation
 from .mesh import (State, moment_of, moment_row, require_count,  # noqa: F401
                    require_moment_order, require_same_mesh, tail_mass_fraction,
                    x1_distance_of)
-from .operators import OperatorBundle, factor
+from .operators import OperatorBundle, factor, imex_step, positivity_budget
 
 SCHEMES = ("imex_euler", "fully_implicit")
 RECORD_BLOCK = 16   # fewest states per recording block: 256 KB at N = 2048
@@ -62,15 +57,6 @@ def _check_step(scheme: str, dt: float | None) -> None:
         raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if dt is not None and not 0 < dt < math.inf:
         raise ConfigError(f"dt must be positive and finite, got {dt}")
-
-
-def positivity_budget(bundle: OperatorBundle, dt: float, scheme: str) -> float:
-    """dt * max(death) for imex_euler, 0 for fully_implicit; warns the caller's caller above 1."""
-    budget = dt * float(np.max(bundle.death)) if scheme == "imex_euler" else 0.0
-    if budget > 1.0:
-        warnings.warn(f"positivity budget {budget:.2f} > 1: the explicit part of the "
-                      "step may lose positivity", stacklevel=3)
-    return budget
 
 
 @dataclass(frozen=True)
@@ -131,36 +117,12 @@ class Stepper:
     def __init__(self, bundle: OperatorBundle, dt: float, scheme: str = "imex_euler"):
         _check_step(scheme, dt)
         self.reaction_cfl = dt * float(np.max(bundle.death))
-        self.positivity_budget = positivity_budget(bundle, dt, scheme)
         if scheme == "fully_implicit":
-            solve = factor(bundle, 1.0, -dt)
+            self.positivity_budget, solve = 0.0, factor(bundle, 1.0, -dt)
             self._map = lambda values, out: np.copyto(out, solve(values)) or out
-            return
-        # imex_euler's diffusion solve overwrites right-hand sides weighted by the
-        # symmetriser w, here w (v + dt (B v - d v)) = dt w B v + keep v
-        solve = bundle.diffusion.factor(-dt)
-        w, birth = bundle.diffusion.symmetriser, bundle.birth
-        keep = w * (1.0 - dt * bundle.death)
-        if birth.separable:
-            gain, donor, suffix = dt * w * birth.receiver, birth.donor[1:], np.zeros(len(w))
-
-            def imex(values, out):
-                # apply_reaction's roundings (x - (-k v) == x + k v, and + commutes)
-                # and the solve, in out and suffix: keep v + gain s, s_i = sum_(j>i) donor_j v_j
-                out = np.multiply(keep, values, out=out)
-                np.multiply(donor, values[1:], out=suffix[:-1])     # suffix[-1] stays 0
-                np.add.accumulate(suffix[-2::-1], out=suffix[-2::-1])
-                out += np.multiply(gain, suffix, out=suffix)
-                return solve(out)
-
-            self._map = imex
         else:
-            # a dense gain makes the step dense anyway: one matrix, dt w K off
-            # the diagonal and keep on it (K's diagonal is 0)
-            explicit = (dt * w)[:, None] * birth.dense_applied
-            np.fill_diagonal(explicit, keep)
-            matrix = solve(explicit)
-            self._map = matrix.dot     # called as (values, out)
+            self.positivity_budget = positivity_budget(bundle, dt)
+            self._map = imex_step(bundle, dt)
 
     def advance(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The state dt after values, unchecked: in out (a contiguous row) if given."""

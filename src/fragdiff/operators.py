@@ -31,11 +31,14 @@ half-bandwidth 2, one layout for every shift.  Implicit steps (I - dt G) and
 shifted solves (G - I) are M-matrices up to sign, whose LU needs no row
 interchange; when LAPACK made none, a solve is two BLAS band sweeps.  Custom
 kernels keep the one dense path.
-Solves with the diffusion part alone go through `Tridiagonal.factor`.
+Solves with the diffusion part alone go through `Tridiagonal.factor`;
+imex_euler's step map `imex_step` and its `positivity_budget` sit beside
+`factor`, so no other module reads the birth operator's storage.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -301,6 +304,47 @@ def factor(bundle: OperatorBundle, alpha: float,
         return sweeps(z)[::2].copy()
 
     return solve
+
+
+def positivity_budget(bundle: OperatorBundle, dt: float) -> float:
+    """dt * max(death), imex_step's; warns the caller's caller above 1."""
+    budget = dt * float(np.max(bundle.death))
+    if budget > 1.0:
+        warnings.warn(f"positivity budget {budget:.2f} > 1: the explicit part of the "
+                      "step may lose positivity", stacklevel=3)
+    return budget
+
+
+def imex_step(bundle: OperatorBundle,
+              dt: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """imex_euler's step(values, out): the state dt after values, in out (a row).
+
+    The diffusion solve takes right-hand sides weighted by the symmetriser
+    w: dt w B v + keep v, keep = w (1 - dt d), formed in place before one
+    `pttrs` for a power-law kernel.  A custom kernel's gain is dense, so its
+    step is one product with M, the step applied once to the identity.
+    """
+    solve = bundle.diffusion.factor(-dt)
+    w, birth = bundle.diffusion.symmetriser, bundle.birth
+    keep = w * (1.0 - dt * bundle.death)
+    if not birth.separable:
+        # a dense gain makes the step dense anyway: one matrix, dt w K off
+        # the diagonal and keep on it (K's diagonal is 0)
+        explicit = (dt * w)[:, None] * birth.dense_applied
+        np.fill_diagonal(explicit, keep)
+        return solve(explicit).dot     # called as (values, out)
+    gain, donor, suffix = dt * w * birth.receiver, birth.donor[1:], np.zeros(len(w))
+
+    def step(values, out):
+        # apply_reaction's roundings (x - (-k v) == x + k v, and + commutes)
+        # and the solve, in out and suffix: keep v + gain s, s_i = sum_(j>i) donor_j v_j
+        out = np.multiply(keep, values, out=out)
+        np.multiply(donor, values[1:], out=suffix[:-1])     # suffix[-1] stays 0
+        np.add.accumulate(suffix[-2::-1], out=suffix[-2::-1])
+        out += np.multiply(gain, suffix, out=suffix)
+        return solve(out)
+
+    return step
 
 
 def assemble_bundle(mesh: Mesh, rate: RateModel, kernel: PowerLawKernel | CustomKernel,

@@ -81,7 +81,7 @@ def subdominant_spectrum(bundle: OperatorBundle, k: int = 8) -> np.ndarray:
     part, is real and simple by positivity and is dropped.
     """
     k = require_modes(k, bundle.mesh.n_cells)
-    if float(bundle.rate.tail_infimum(1e-6, bundle.mesh.x_max)) <= 0.0:
+    if not float(np.min(bundle.rate(bundle.mesh.centers))) > 0.0:
         raise PropertyViolation(
             "spectral run requires a strictly positive rate on the grid")
     n = bundle.mesh.n_cells

@@ -1,4 +1,5 @@
-"""The package's public names resolve once each, and its rules reject NaN and inf."""
+"""The package's public names resolve once each, its layering holds, and its
+rules reject NaN and inf."""
 
 import ast
 import re
@@ -25,6 +26,20 @@ def test_sources_parse_at_the_declared_python_floor():
     for path in sorted(Path(fragdiff.__file__).parent.glob("*.py")):
         ast.parse(path.read_text(), filename=str(path),
                   feature_version=tuple(int(part) for part in floor))
+
+
+def test_only_operators_knows_the_birth_storage_and_checks_skips_evolution():
+    # the step maps and solves are built in operators; checks needs no time loop
+    storage, readers, imports = {"separable", "receiver", "donor", "dense_applied"}, set(), []
+    for path in sorted(Path(fragdiff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in storage:
+                readers.add(path.name)
+            if path.name == "checks.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                imports += [name for name in names if "evolution" in name.split(".")]
+    assert readers == {"operators.py"}
+    assert imports == []
 
 
 def test_no_public_name_is_listed_twice():

@@ -178,6 +178,14 @@ def test_cell_integrals_match_quadrature():
             assert exact[i] == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("x_nodes, a_nodes", [([0.0, 1.0], [1.0, 2.0, 3.0]),
+                                               ([[0.0, 1.0]], [[1.0, 2.0]]),
+                                               ([0.0], [1.0])])
+def test_table_rate_needs_matching_1d_nodes(x_nodes, a_nodes):
+    with pytest.raises(ConfigError, match="matching 1-D node arrays"):
+        TableRate(x_nodes, a_nodes)
+
+
 def test_table_rate_interpolates():
     rate = TableRate(np.array([0.0, 1.0, 2.0]), np.array([1.0, 3.0, 5.0]))
     assert rate(np.array([0.5]))[0] == pytest.approx(2.0)

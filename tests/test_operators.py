@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from fragdiff import (ConfigError, ConstantRate, CustomKernel, NumericsError, PowerLawKernel,
-                      PowerRate, ShiftedPowerRate, State, Stepper, TableRate, apply_generator,
-                      assemble_birth, assemble_bundle, assemble_diffusion,
+                      PowerRate, PropertyViolation, ShiftedPowerRate, State, Stepper, TableRate,
+                      apply_generator, assemble_birth, assemble_bundle, assemble_diffusion,
                       build_mesh, heat_apply_exact, heat_growth_bound,
                       image_kernel_value, kernel_value, solve_steady,
                       weighted_norm)
@@ -97,6 +97,22 @@ def test_birth_triangular_and_nonnegative(mitosis_512):
     assert np.allclose(np.tril(w), 0.0)
     assert np.all(w >= 0.0)
     assert np.all(mitosis_512.death >= 0.0)
+
+
+def test_negative_power_law_birth_weight_raises():
+    class NegativeIntegrals(ConstantRate):
+        def cell_integrals(self, edges, q):
+            return -super().cell_integrals(edges, q)
+
+    with pytest.raises(PropertyViolation, match="negative birth weight"):
+        assemble_birth(build_mesh(20.0, 32), NegativeIntegrals(1.0), PowerLawKernel(0.0))
+
+
+def test_negative_custom_birth_weight_raises():
+    # mass exact (int x b = y) but b < 0 for x > 11 y / 15
+    signed = CustomKernel(lambda x, y: (22.0 - 30.0 * x / y) / y, name="signed")
+    with pytest.raises(PropertyViolation, match="negative birth weight"):
+        assemble_birth(build_mesh(20.0, 32), ConstantRate(1.0), signed)
 
 
 def test_binary_kernel_unit_weights(mitosis_512):

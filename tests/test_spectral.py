@@ -2,9 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.linalg import eig, svdvals
 
-from fragdiff import (ConfigError, ConstantRate, IntegratorConfig, PowerLawKernel,
+from fragdiff import (ConfigError, ConstantRate, IntegratorConfig, NumericsError, PowerLawKernel,
                       PowerRate, PropertyViolation, State, assemble_bundle,
                       build_mesh, decay_rate, dominant_eigenpair, evolve,
                       mass, moment, solve_steady, spectral_gap,
@@ -114,6 +115,31 @@ def test_spectral_gap_requires_positive_rate(mesh_512):
     bundle = assemble_bundle(mesh_512, vanishing, PowerLawKernel(0.0))
     with pytest.raises(PropertyViolation):
         spectral_gap(bundle)
+
+
+def test_spectral_gap_requires_a_positive_rate_at_every_cell_centre(mesh_512):
+    # zero at the centre 30.04 only: a geometric sample of the rate steps over it
+    from fragdiff import TableRate
+    notch = TableRate([0.0, 29.9, 29.95, 30.05, 30.1, 40.0], [1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+    assert notch.tail_infimum(1e-6, mesh_512.x_max) > 0.9
+    bundle = assemble_bundle(mesh_512, notch, PowerLawKernel(0.0))
+    with pytest.raises(PropertyViolation, match="strictly positive rate"):
+        spectral_gap(bundle)
+
+
+def test_dominant_eigenpair_that_does_not_settle_raises(monkeypatch, mitosis_512):
+    monkeypatch.setattr("fragdiff.spectral._MAX_ITERATIONS", 1)
+    with pytest.raises(NumericsError, match="did not settle in 1 iterations"):
+        dominant_eigenpair(mitosis_512)
+
+
+def test_failed_arnoldi_raises_numerics_error(monkeypatch, linear_rate_512):
+    def fail(*args, **kwargs):
+        raise spla.ArpackError(-9999)
+
+    monkeypatch.setattr(spla, "eigs", fail)
+    with pytest.raises(NumericsError, match="subdominant eigensolve failed"):
+        subdominant_spectrum(linear_rate_512)
 
 
 def test_spectral_gap_rejects_a_subdominant_mode_that_does_not_decay(monkeypatch,
