@@ -39,8 +39,9 @@ from .stationary import solve_steady, solve_steady_regularized
 
 def _write_csv(path: Path, header: str, columns) -> None:
     """Write the header, then each row of the columns as repr(float) values."""
-    # value by value: a list per row or per column costs collector runs or memory
-    fields = (map(repr, map(float, column)) for column in columns)
+    # one list of Python floats per column: repr of a float is repr of the
+    # np.float64 it came from, without a numpy scalar per value
+    fields = (map(repr, np.asarray(column, dtype=float).tolist()) for column in columns)
     path.write_text("\n".join([header, *map(",".join, zip(*fields))]) + "\n")
 
 

@@ -116,12 +116,12 @@ class Stepper:
 
     def __init__(self, bundle: OperatorBundle, dt: float, scheme: str = "imex_euler"):
         _check_step(scheme, dt)
-        self.reaction_cfl = dt * float(np.max(bundle.death))
         if scheme == "fully_implicit":
-            self.positivity_budget, solve = 0.0, factor(bundle, 1.0, -dt)
+            self.reaction_cfl = dt * float(np.max(bundle.death))
+            solve = factor(bundle, 1.0, -dt)
             self._map = lambda values, out: np.copyto(out, solve(values)) or out
         else:
-            self.positivity_budget = positivity_budget(bundle, dt)
+            self.reaction_cfl = positivity_budget(bundle, dt)    # warns beyond 1
             self._map = imex_step(bundle, dt)
 
     def advance(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

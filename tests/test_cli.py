@@ -288,6 +288,15 @@ def test_csv_writer_pins_its_text(tmp_path):
     assert path.read_text() == "a,b\n0.1,-0.0\n1e-300,nan\n"
 
 
+@pytest.mark.parametrize("as_column", [np.array, list], ids=["float64", "float"])
+def test_csv_writer_writes_repr_of_each_float(tmp_path, as_column):
+    # np.float64 values and Python floats give the same text, repr(float(v))
+    values = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2]
+    path = tmp_path / "run.csv"
+    _write_csv(path, "v", [as_column(values)])
+    assert path.read_text() == "v\n" + "".join(f"{float(v)!r}\n" for v in values)
+
+
 def test_evolve_without_a_steady_reference_still_runs(tmp_path, monkeypatch):
     def singular(*args, **kwargs):
         raise NumericsError("generator system is singular")
@@ -582,6 +591,28 @@ def test_cli_import_loads_no_scipy_integrate_optimize_or_special():
                          "if name in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_only_the_spectrum_task_loads_arpack(tmp_path):
+    # scipy.sparse.linalg costs about 15 ms and 3.6 MB; only the gap reads it
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(small_config("evolve").replace(
+        "rate = constant\nrate_value = 1.0", "rate = power\nrate_gamma = 1.0"))
+    script = """if True:
+        import sys
+        from fragdiff.cli import main
+        cfg, out = sys.argv[1:]
+        def run(task):
+            return main(["--config", cfg, "--task", task, "--out", f"{out}/{task}", "--quiet"])
+        def sparse():
+            return sorted(name for name in sys.modules if name.startswith("scipy.sparse"))
+        print([run(task) for task in ("evolve", "steady", "steady_regularized", "checks")])
+        print(sparse())
+        print(run("spectrum"), "scipy.sparse.linalg" in sparse())
+    """
+    proc = _run_with_src("-c", script, str(cfg_file), str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0]", "[]", "0 True"]
 
 
 def test_cli_run_assembles_its_bundle_once(tmp_path, monkeypatch):

@@ -154,7 +154,7 @@ def test_dense_imex_step_is_one_matrix(binary_custom, monkeypatch, rng):
 def test_dense_imex_step_keeps_nonnegative_data_without_clamp(binary_custom, rng):
     # the budget is <= 1, so the step matrix is entrywise nonnegative
     stepper = Stepper(binary_custom, 0.5 / float(np.max(binary_custom.death)))
-    assert stepper.positivity_budget <= 1.0
+    assert stepper.reaction_cfl <= 1.0
     values = rng.random(binary_custom.mesh.n_cells) * np.exp(-binary_custom.mesh.centers)
     for _ in range(20):
         values = stepper.advance(values)
@@ -201,15 +201,17 @@ def fine_geometric():
 def test_imex_euler_warns_beyond_its_positivity_budget(linear_rate_512):
     with pytest.warns(UserWarning, match="positivity budget 3.99"):
         stepper = Stepper(linear_rate_512, 0.1, "imex_euler")
-    assert stepper.positivity_budget == pytest.approx(3.99, abs=0.005)
+    assert stepper.reaction_cfl == pytest.approx(3.99, abs=0.005)
     # the warning is earned: unit-scale data dip to -2.0e-7 at step 1
     values = np.exp(-linear_rate_512.mesh.centers)
     with pytest.raises(PropertyViolation, match="positivity violated: minimum -2.0"):
         stepper.step(values)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert Stepper(linear_rate_512, 0.1, "fully_implicit").positivity_budget == 0.0
-        assert Stepper(linear_rate_512, 0.02, "imex_euler").positivity_budget < 1.0
+        # fully_implicit has no positivity budget: no warning at the same dt
+        assert Stepper(linear_rate_512, 0.1, "fully_implicit").reaction_cfl \
+            == pytest.approx(3.99, abs=0.005)
+        assert Stepper(linear_rate_512, 0.02, "imex_euler").reaction_cfl < 1.0
 
 
 @pytest.mark.parametrize("scheme, order", [("imex_euler", 0.9), ("fully_implicit", 0.9)])
@@ -465,7 +467,7 @@ def test_power_law_step_keeps_sign_exactly_at_budget_one(power_law):
     # no clamp, keeps spikes at either end, subnormal data and zeros >= 0
     n, xc = power_law.mesh.n_cells, power_law.mesh.centers
     stepper = Stepper(power_law, 1.0 / float(np.max(power_law.death)))
-    assert stepper.positivity_budget <= 1.0
+    assert stepper.reaction_cfl <= 1.0
     first, last = np.eye(n)[0], np.eye(n)[-1]
     for values in (first, last, first + last, 1e-300 * (first + last),
                    1e-300 * np.exp(-xc), np.zeros(n)):
