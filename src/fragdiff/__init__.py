@@ -11,6 +11,7 @@ spectral gap, exponential relaxation) numerically.
 
 __version__ = "0.1.0"
 
+from .checks import heat_apply_exact, heat_growth_bound, image_kernel_value, kernel_value
 from .coefficients import (ConstantRate, CustomKernel, MassConditionReport,
                            MomentCeiling, PowerLawKernel, PowerRate, RateModel,
                            RegularizedRate, ShiftedPowerRate, TableRate,
@@ -19,9 +20,7 @@ from .errors import ConfigError, NumericsError, PropertyViolation
 from .evolution import IntegratorConfig, Stepper, Trajectory, default_dt, evolve
 from .mesh import (Mesh, State, build_mesh, mass, moment, tail_mass_fraction,
                    weighted_norm, x1_distance)
-from .operators import (OperatorBundle, apply_generator, assemble_birth,
-                        assemble_bundle, assemble_diffusion, heat_apply_exact,
-                        heat_growth_bound, image_kernel_value, kernel_value)
+from .operators import OperatorBundle, assemble_birth, assemble_bundle, assemble_diffusion
 from .spectral import (DecayFit, decay_rate, dominant_eigenpair, spectral_gap,
                        subdominant_spectrum)
 from .stationary import (RegularizedResult, SteadyResult, solve_steady,
@@ -36,8 +35,7 @@ __all__ = [
     "delta_m", "verify_mass_condition", "moment_ceiling", "MomentCeiling",
     "MassConditionReport",
     "assemble_diffusion", "assemble_birth", "assemble_bundle", "OperatorBundle",
-    "apply_generator", "kernel_value", "image_kernel_value", "heat_apply_exact",
-    "heat_growth_bound",
+    "kernel_value", "image_kernel_value", "heat_apply_exact", "heat_growth_bound",
     "IntegratorConfig", "Stepper", "Trajectory", "evolve", "default_dt",
     "SteadyResult", "solve_steady", "RegularizedResult",
     "solve_steady_regularized",

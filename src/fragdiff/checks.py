@@ -21,6 +21,10 @@ NumericsError.
 Profile-only quantities (the root scan, the X_1 norms of f and f'' and the
 pointwise sups) are cached on the `SampleProfile`, so each is computed once
 however many weights or orders check that profile.
+
+The half-line heat propagator by reflection (`kernel_value`,
+`image_kernel_value`, the O(N^2) `heat_apply_exact`, `heat_growth_bound`) is
+an oracle beside the kernel samples that use it; no solver calls it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 from .coefficients import delta_m
 from .errors import ConfigError, NumericsError
 from .mesh import State, moment_row, norm_row, weighted_norm_of
-from .operators import OperatorBundle, image_kernel_value, kernel_value, positivity_budget
+from .operators import OperatorBundle, positivity_budget
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
 # 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21): the positive Kronrod
@@ -190,6 +194,8 @@ class WeightSpec:
     cap: float = np.inf
 
     def __post_init__(self):
+        if not -np.inf < self.m < np.inf:
+            raise ConfigError(f"weight exponent m must be finite, got {self.m}")
         if not self.cap > 0:
             raise ConfigError(f"weight cap must be positive, got {self.cap}")
 
@@ -307,8 +313,8 @@ def check_gain_smallness(bundle: OperatorBundle, initial: State,
     crosses 1.  A crossing time bounded away from 0 is the smallness property
     that lets the gain be treated as a tame perturbation of the loss flow.
     """
-    if not m > 1.0:
-        raise ConfigError("gain-smallness check needs m > 1")
+    if not 1.0 < m < np.inf:
+        raise ConfigError(f"gain-smallness check needs finite m > 1, got {m}")
     mesh = bundle.mesh
     denom = weighted_norm_of(mesh, initial.values, m)
     if denom == 0.0:
@@ -336,8 +342,54 @@ def check_gain_smallness(bundle: OperatorBundle, initial: State,
 
 
 # ---------------------------------------------------------------------------
-# heat-kernel pointwise inequalities and gain domination
+# half-line heat propagator by reflection, its inequalities, gain domination
 # ---------------------------------------------------------------------------
+
+def kernel_value(t, z) -> np.ndarray:
+    """Gaussian heat kernel exp(-z^2 / 4t) / sqrt(4 pi t); t broadcastable."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
+        raise ConfigError("kernel time must be positive")
+    z = np.asarray(z, dtype=float)
+    return np.exp(-z * z / (4.0 * t)) / np.sqrt(4.0 * np.pi * t)
+
+
+def image_kernel_value(t: float, x, y) -> np.ndarray:
+    """Dirichlet half-line kernel k(t, x-y) - k(t, x+y); nonnegative for x, y > 0."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return kernel_value(t, x - y) - kernel_value(t, x + y)
+
+
+def heat_apply_exact(state: State, t: float) -> State:
+    """Evolve a state by the half-line heat propagator, as a dense quadrature.
+
+    O(N^2) reference evaluator for validation; never used in the time loop.
+    Nonnegative input yields nonnegative output: the image kernel is >= 0
+    in floating point too (the squares round monotonically and
+    (x - y)^2 <= (x + y)^2), so no clamp is applied.
+    """
+    xc = state.mesh.centers
+    f_dx = state.values * state.mesh.widths
+    out = np.empty_like(f_dx)
+    chunk = 1024
+    for lo in range(0, xc.size, chunk):
+        rows = slice(lo, lo + chunk)
+        out[rows] = image_kernel_value(t, xc[rows, None], xc[None, :]) @ f_dx
+    return state.copy_with(out, time=state.time + t)
+
+
+def heat_growth_bound(m: float) -> float:
+    """Growth-rate envelope for the weighted norm under pure diffusion.
+
+    Defined for m = 1 (contraction) and m >= 3, where the dissipativity
+    constant is 4^(1/(m-1)) * m * (m-3)^((m-3)/(m-1)); equal to 6 at m = 3.
+    """
+    if m == 1.0:
+        return 0.0
+    if not 3.0 <= m < np.inf:
+        raise ConfigError(f"growth envelope available for m = 1 or finite m >= 3, got {m}")
+    return float(4.0 ** (1.0 / (m - 1.0)) * m * (m - 3.0) ** ((m - 3.0) / (m - 1.0)))
+
 
 def kernel_positivity_samples(rng: np.random.Generator, n_samples: int = 500) -> dict:
     """Reflection kernel is nonnegative, and stays dominated after the

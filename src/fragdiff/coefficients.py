@@ -302,8 +302,8 @@ def delta_m(kernel: PowerLawKernel | CustomKernel, m: float) -> float:
     Closed form for the power-law family; for custom kernels a supremum over
     a fixed 32-points-per-decade log grid of donor sizes (lower-confidence).
     """
-    if not m > 1.0:
-        raise ConfigError(f"contraction defect is defined for m > 1, got {m}")
+    if not 1.0 < m < np.inf:
+        raise ConfigError(f"contraction defect is defined for finite m > 1, got {m}")
     if isinstance(kernel, PowerLawKernel):
         return (m - 1.0) / (kernel.nu + m + 1.0)
     ratios = np.array([float(kernel.fragment_moment(m, y)) / y ** m for y in _DELTA_Y])
@@ -337,8 +337,8 @@ def moment_ceiling(rate: RateModel, kernel: PowerLawKernel | CustomKernel, m: fl
 
         mu = (2/delta) * [ 2m (2m(m-3)/delta)^((m-3)/2) + delta x_star^(m-1) ].
     """
-    if not m >= 3.0:
-        raise ConfigError(f"moment ceiling needs m >= 3, got {m}")
+    if not 3.0 <= m < np.inf:
+        raise ConfigError(f"moment ceiling needs finite m >= 3, got {m}")
     x_star = rate.threshold_crossing(1.0, x_max_probe)
     if x_star is None or x_star > x_max_probe / 10.0:
         raise PropertyViolation(

@@ -7,8 +7,8 @@ key given explicitly afterwards overrides the preset value.
 
 Every value is checked at parse time, by building the objects a run uses
 (its bundle through `build_bundle`, integrator and step grid, initial shape
-and its mass, n-sequence, eigenvalue count and steady mass): the constructor
-that consumes a value states its rule.  The bundle is kept as
+and its mass, n-sequence, eigenvalue count, steady mass and seed): the
+constructor that consumes a value states its rule.  The bundle is kept as
 `RunConfig.bundle`, outside the config echo.  Errors read `<file>:<line>:
 [section] <message>`, at the offending key, or at its section header when
 a preset or default gave it.
@@ -32,7 +32,7 @@ from .coefficients import (ConstantRate, PowerLawKernel, PowerRate,
                            RegularizedRate, ShiftedPowerRate)
 from .errors import ConfigError
 from .evolution import IntegratorConfig
-from .mesh import State, build_mesh, moment_of
+from .mesh import State, build_mesh, moment_of, require_count
 from .operators import OperatorBundle, assemble_bundle
 from .spectral import require_modes
 
@@ -181,6 +181,7 @@ def parse_config_text(text: str, source: str = "<memory>") -> RunConfig:
     cfg.checked(require_modes, cfg["spectrum"]["k"], cfg.bundle.mesh.n_cells,
                 section="spectrum")
     cfg.checked(stationary.require_mass, cfg["steady"]["mass"], section="steady")
+    cfg.checked(require_count, "seed", cfg["run"]["seed"], 0)
     return cfg
 
 

@@ -152,8 +152,8 @@ def mass(state: State) -> float:
 
 def norm_row(mesh: Mesh, m: float) -> np.ndarray:
     """Weights (xbar_i + xbar_i^m) dx_i of the X_1 + X_m norm; needs m >= 1."""
-    if not m >= 1.0:
-        raise ConfigError(f"weighted norm needs m >= 1, got {m}")
+    if not 1.0 <= m < np.inf:
+        raise ConfigError(f"weighted norm needs finite m >= 1, got {m}")
     return (mesh.centers + mesh.centers ** m) * mesh.widths
 
 

@@ -33,7 +33,8 @@ interchange; when LAPACK made none, a solve is two BLAS band sweeps.  Custom
 kernels keep the one dense path.
 Solves with the diffusion part alone go through `Tridiagonal.factor`;
 imex_euler's step map `imex_step` and its `positivity_budget` sit beside
-`factor`, so no other module reads the birth operator's storage.
+`factor`, so no other module reads the birth operator's storage.  The heat
+propagator that tests check the generator against is an oracle in `checks`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from scipy.linalg import blas, lapack
 from .coefficients import _GAUSS_NODES as _CELL_NODES, _GAUSS_WEIGHTS as _CELL_WEIGHTS
 from .coefficients import CustomKernel, PowerLawKernel, RateModel
 from .errors import ConfigError, NumericsError, PropertyViolation
-from .mesh import Mesh, State, require_same_mesh
+from .mesh import Mesh
 
 RIGHT_BCS = ("noflux", "dirichlet")
 _DONOR_NODES, _DONOR_WEIGHTS = leggauss(24)
@@ -352,60 +353,3 @@ def assemble_bundle(mesh: Mesh, rate: RateModel, kernel: PowerLawKernel | Custom
     diffusion = assemble_diffusion(mesh, right_bc, diffusion_rate)
     birth = assemble_birth(mesh, rate, kernel)
     return OperatorBundle(mesh=mesh, diffusion=diffusion, birth=birth, rate=rate, kernel=kernel)
-
-
-def apply_generator(bundle: OperatorBundle, state: State) -> State:
-    require_same_mesh(bundle.mesh, state)
-    return state.copy_with(bundle.apply(state.values))
-
-
-# ---------------------------------------------------------------------------
-# half-line heat propagator by reflection
-# ---------------------------------------------------------------------------
-
-def kernel_value(t, z) -> np.ndarray:
-    """Gaussian heat kernel exp(-z^2 / 4t) / sqrt(4 pi t); t broadcastable."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(t > 0):
-        raise ConfigError("kernel time must be positive")
-    z = np.asarray(z, dtype=float)
-    return np.exp(-z * z / (4.0 * t)) / np.sqrt(4.0 * np.pi * t)
-
-
-def image_kernel_value(t: float, x, y) -> np.ndarray:
-    """Dirichlet half-line kernel k(t, x-y) - k(t, x+y); nonnegative for x, y > 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return kernel_value(t, x - y) - kernel_value(t, x + y)
-
-
-def heat_apply_exact(state: State, t: float) -> State:
-    """Evolve a state by the half-line heat propagator, as a dense quadrature.
-
-    O(N^2) reference evaluator for validation; never used in the time loop.
-    Nonnegative input yields nonnegative output: the image kernel is >= 0
-    in floating point too (the squares round monotonically and
-    (x - y)^2 <= (x + y)^2), so no clamp is applied.
-    """
-    xc = state.mesh.centers
-    f_dx = state.values * state.mesh.widths
-    out = np.empty_like(f_dx)
-    chunk = 1024
-    for lo in range(0, xc.size, chunk):
-        hi = min(lo + chunk, xc.size)
-        block = image_kernel_value(t, xc[lo:hi, None], xc[None, :])
-        out[lo:hi] = block @ f_dx
-    return state.copy_with(out, time=state.time + t)
-
-
-def heat_growth_bound(m: float) -> float:
-    """Growth-rate envelope for the weighted norm under pure diffusion.
-
-    Defined for m = 1 (contraction) and m >= 3, where the dissipativity
-    constant is 4^(1/(m-1)) * m * (m-3)^((m-3)/(m-1)); equal to 6 at m = 3.
-    """
-    if m == 1.0:
-        return 0.0
-    if not m >= 3.0:
-        raise ConfigError("growth envelope available for m = 1 or m >= 3")
-    return float(4.0 ** (1.0 / (m - 1.0)) * m * (m - 3.0) ** ((m - 3.0) / (m - 1.0)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError, PropertyViolation
 from .evolution import Trajectory
-from .mesh import State, moment_of, require_count, weighted_norm_of
+from .mesh import State, moment_of, require_count, x1_distance_of
 from .operators import OperatorBundle, factor
 
 _SHIFT = 1.0     # real shift sigma > 0 of the Arnoldi spectral transformation
@@ -132,7 +132,7 @@ def decay_rate(trajectory: Trajectory, reference: State) -> DecayFit:
     t = trajectory.times
     d = trajectory.dist_ref
     d0 = float(d[0])
-    ref_scale = weighted_norm_of(reference.mesh, reference.values, 1.0)
+    ref_scale = x1_distance_of(reference.mesh, reference.values, 0.0)
     if d0 <= 1e-8 * max(ref_scale, 1e-300):
         return DecayFit(status="not_applicable")
     low, high = _FIT_WINDOW

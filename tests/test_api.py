@@ -29,8 +29,11 @@ def test_sources_parse_at_the_declared_python_floor():
 
 
 def test_only_operators_knows_the_birth_storage_and_checks_skips_evolution():
-    # the step maps and solves are built in operators; checks needs no time loop
+    # the step maps and solves are built in operators; checks needs no time loop;
+    # the heat-kernel oracle lives in checks, so operators is the generator alone
     storage, readers, imports = {"separable", "receiver", "donor", "dense_applied"}, set(), []
+    oracle, defined = {"kernel_value", "image_kernel_value", "heat_apply_exact",
+                       "heat_growth_bound", "apply_generator"}, []
     for path in sorted(Path(fragdiff.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute) and node.attr in storage:
@@ -38,8 +41,12 @@ def test_only_operators_knows_the_birth_storage_and_checks_skips_evolution():
             if path.name == "checks.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
                 imports += [name for name in names if "evolution" in name.split(".")]
+            if path.name == "operators.py" and isinstance(node, ast.FunctionDef) \
+                    and node.name in oracle:
+                defined.append(node.name)
     assert readers == {"operators.py"}
     assert imports == []
+    assert defined == []
 
 
 def test_no_public_name_is_listed_twice():
@@ -84,18 +91,30 @@ NAN_CASES = {
                             "n_sequence must be a whole number >= 1, got 16.7"),
     "moment_of": (lambda: moment_of(MESH, np.ones(MESH.n_cells), NAN), "moment_order"),
     "norm_row": (lambda: norm_row(MESH, NAN), "m >= 1"),
+    "norm_row-inf": (lambda: norm_row(MESH, np.inf), "finite m >= 1, got inf"),
     "check_gain_smallness": (lambda: check_gain_smallness(
         fragdiff.assemble_bundle(MESH, fragdiff.ConstantRate(1.0), fragdiff.PowerLawKernel(0.0)),
         fragdiff.State(np.ones(MESH.n_cells), MESH), NAN), "m > 1"),
+    "check_gain_smallness-inf": (lambda: check_gain_smallness(
+        BUNDLE, fragdiff.State(np.ones(MESH.n_cells), MESH), np.inf), "finite m > 1, got inf"),
     "WeightSpec": (lambda: WeightSpec(cap=NAN), "cap must be positive"),
+    "WeightSpec-m-nan": (lambda: WeightSpec(m=NAN), "m must be finite, got nan"),
+    "WeightSpec-m-inf": (lambda: WeightSpec(m=np.inf), "m must be finite, got inf"),
     "verify_mass_condition": (lambda: fragdiff.verify_mass_condition(
         fragdiff.PowerLawKernel(0.0), [1.0, NAN]), "donor samples"),
     "fragment_moment": (lambda: fragdiff.PowerLawKernel(0.0).fragment_moment(NAN, 1.0),
                         "diverges"),
     "delta_m": (lambda: fragdiff.delta_m(fragdiff.PowerLawKernel(0.0), NAN), "m > 1"),
+    "delta_m-inf": (lambda: fragdiff.delta_m(fragdiff.PowerLawKernel(0.0), np.inf),
+                    "finite m > 1, got inf"),
     "moment_ceiling": (lambda: fragdiff.moment_ceiling(
         fragdiff.PowerRate(1.0), fragdiff.PowerLawKernel(0.0), NAN, 40.0), "m >= 3"),
+    "moment_ceiling-inf": (lambda: fragdiff.moment_ceiling(
+        fragdiff.PowerRate(1.0), fragdiff.PowerLawKernel(0.0), np.inf, 40.0),
+        "finite m >= 3, got inf"),
     "heat_growth_bound": (lambda: fragdiff.heat_growth_bound(NAN), "m >= 3"),
+    "heat_growth_bound-inf": (lambda: fragdiff.heat_growth_bound(np.inf),
+                              "finite m >= 3, got inf"),
     "kernel_value": (lambda: fragdiff.kernel_value(NAN, 0.0), "time"),
     "Mesh-nan": (lambda: fragdiff.Mesh(edges=[0.0, 1.0, NAN]), "finite"),
     "Mesh-inf": (lambda: fragdiff.Mesh(edges=[0.0, 1.0, np.inf]), "finite"),

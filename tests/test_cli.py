@@ -465,6 +465,17 @@ def test_negative_steady_mass_exits_2_at_its_line(tmp_path, capsys):
         f"config error: {cfg_file}:9: [steady] mass must be finite and >= 0, got -1.0")
 
 
+def test_negative_seed_exits_2_at_its_line(tmp_path, capsys):
+    # a seed numpy's generator refuses is a config error, not a traceback from the run
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[run]\npreset = mitosis\ntask = checks\nseed = -1\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(
+        f"config error: {cfg_file}:4: [run] seed must be a whole number >= 0, got -1")
+
+
 def test_too_many_modes_for_the_mesh_exit_2_at_their_line(tmp_path, capsys):
     # the message names [domain] cells too; the error still points at [spectrum]
     cfg_file = tmp_path / "run.cfg"

@@ -8,7 +8,7 @@ from scipy.linalg import expm, lapack
 
 from fragdiff import (ConfigError, ConstantRate, CustomKernel, IntegratorConfig,
                       NumericsError, PowerLawKernel, PowerRate, PropertyViolation,
-                      State, Stepper, apply_generator, assemble_bundle, build_mesh,
+                      State, Stepper, assemble_bundle, build_mesh,
                       default_dt, evolve, heat_apply_exact, mass, moment,
                       solve_steady, tail_mass_fraction, x1_distance)
 from fragdiff.evolution import RECORD_BLOCK, SCHEMES, record_rows
@@ -32,7 +32,7 @@ def test_default_dt_formula(mitosis_512):
 
 def test_step_consistency_with_generator(mitosis_512):
     state = unit_mass_exponential(mitosis_512.mesh)
-    gen = apply_generator(mitosis_512, state).values
+    gen = mitosis_512.apply(state.values)
     errors = []
     for dt in (1e-3, 5e-4):
         moved = Stepper(mitosis_512, dt).step(state.values)

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from fragdiff import (ConfigError, ConstantRate, CustomKernel, NumericsError, PowerLawKernel,
                       PowerRate, PropertyViolation, ShiftedPowerRate, State, Stepper, TableRate,
-                      apply_generator, assemble_birth, assemble_bundle, assemble_diffusion,
+                      assemble_birth, assemble_bundle, assemble_diffusion,
                       build_mesh, heat_apply_exact, heat_growth_bound,
                       image_kernel_value, kernel_value, solve_steady,
                       weighted_norm)
@@ -237,10 +237,8 @@ def test_zero_rate_gives_zero_birth(mesh_512):
 # ---------------------------------------------------------------------------
 
 def test_generator_linear_and_zero(mitosis_512):
-    mesh = mitosis_512.mesh
-    zero = State(values=np.zeros(mesh.n_cells), mesh=mesh)
-    out = apply_generator(mitosis_512, zero)
-    assert np.all(out.values == 0.0)
+    out = mitosis_512.apply(np.zeros(mitosis_512.mesh.n_cells))
+    assert np.all(out == 0.0)
 
 
 def test_generator_residual_second_order_on_equilibrium():
@@ -260,13 +258,6 @@ def test_generator_conserves_mass_of_interior_profile(linear_rate_512):
     phi = np.exp(-((xc - 15.0) / 2.0) ** 2)   # compactly supported in practice
     rate = np.sum(xc * linear_rate_512.apply(phi) * mesh.widths)
     assert abs(rate) < 1e-12
-
-
-def test_generator_mesh_mismatch(mitosis_512):
-    other = build_mesh(40.0, 256)
-    state = State(values=np.ones(256), mesh=other)
-    with pytest.raises(ConfigError):
-        apply_generator(mitosis_512, state)
 
 
 def test_dense_matches_apply(linear_rate_512, rng):

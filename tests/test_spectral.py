@@ -188,6 +188,19 @@ def test_decay_rate_status_from_the_distance_series(linear_rate_512, tail, statu
     assert fit.status == status and fit.nu_hat is None
 
 
+def test_decay_rate_threshold_is_relative_to_the_x1_norm(linear_rate_512):
+    # d = d0 e^{-t}: fitted once d0 exceeds 1e-8 |ref|_X1, skipped below it
+    steady = solve_steady(linear_rate_512).state
+    trajectory = evolve(linear_rate_512, steady, IntegratorConfig(dt=0.01, t_end=0.1),
+                        reference=steady)
+    mesh, times = steady.mesh, np.linspace(0.0, 25.0, 101)
+    ref_x1 = float(np.sum(mesh.centers * np.abs(steady.values) * mesh.widths))
+    fits = [decay_rate(replace(trajectory, times=times, dist_ref=scale * ref_x1 * np.exp(-times)),
+                       steady) for scale in (1.5e-8, 0.5e-8)]
+    assert fits[0].status == "ok" and fits[0].nu_hat == pytest.approx(1.0, rel=1e-9)
+    assert fits[1].status == "not_applicable"
+
+
 def test_decay_rate_needs_a_run_with_the_reference(linear_rate_512):
     steady = solve_steady(linear_rate_512).state
     trajectory = evolve(linear_rate_512, steady, IntegratorConfig(dt=0.01, t_end=0.1))
